@@ -228,21 +228,11 @@ void IncrementalRouter::commit_sweep(const Schedule& schedule,
     if (options_.conflict_aware) {
       if (!speculative) {
         TRACE_SPAN("route", "search");
+        // The log keeps only the final search's read-set: earlier
+        // attempts searched windows the retimed schedule will never ask
+        // for.
         core_.set_probe_log(&probe_buffer_);
-        for (int attempt = 0;; ++attempt) {
-          // Keep only the final attempt's read-set: earlier attempts
-          // searched windows the retimed schedule will never ask for.
-          probe_buffer_.clear();
-          path = core_.find_path(start);
-          if (!path.empty()) break;
-          if (attempt >= options_.max_postpone_steps) {
-            throw RoutingError(
-                "unroutable transport task (after postponing)");
-          }
-          start += options_.postpone_step;
-          delay += options_.postpone_step;
-          core_.count_postponement_step();
-        }
+        path = core_.find_path_postponed(start, delay);
         core_.set_probe_log(nullptr);
         if (delay > 0.0) ++result.conflict_postponements;
       }

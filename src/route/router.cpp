@@ -88,16 +88,7 @@ RoutingResult route_transports(RoutingGrid& grid, const Schedule& schedule,
     double delay = 0.0;
 
     if (options.conflict_aware) {
-      for (int attempt = 0;; ++attempt) {
-        path = core.find_path(start);
-        if (!path.empty()) break;
-        if (attempt >= options.max_postpone_steps) {
-          throw RoutingError("unroutable transport task (after postponing)");
-        }
-        start += options.postpone_step;
-        delay += options.postpone_step;
-        core.count_postponement_step();
-      }
+      path = core.find_path_postponed(start, delay);
       if (delay > 0.0) ++result.conflict_postponements;
     } else {
       path = core.find_path(start);

@@ -3,10 +3,11 @@
 // (IncrementalRouter, incremental_router.cpp).
 //
 // This is an internal engine header: RouterCore exposes the per-task
-// routing pipeline (begin_task / find_path / earliest_feasible_start /
-// flush_duration / occupy) plus the cell-indexed wash query the
-// incremental router needs to replay committed paths. The public routing
-// API stays route/router.hpp and route/incremental_router.hpp.
+// routing pipeline (begin_task / find_path / find_path_postponed /
+// earliest_feasible_start / flush_duration / occupy) plus the
+// cell-indexed wash query the incremental router needs to replay
+// committed paths. The public routing API stays route/router.hpp and
+// route/incremental_router.hpp.
 
 #pragma once
 
@@ -96,7 +97,8 @@ class RouterCore {
 
   /// Installs a sink recording one Probe per (search, cell) probed by
   /// find_path; nullptr disables recording. The caller owns clearing the
-  /// log between tasks.
+  /// log between tasks (find_path_postponed also clears it before each
+  /// search it runs).
   void set_probe_log(std::vector<Probe>* log) { probe_log_ = log; }
 
   /// True when every probe of a recorded search reproduces for the
@@ -108,19 +110,8 @@ class RouterCore {
     for (const Probe& p : probes) {
       const auto i = static_cast<std::size_t>(p.cell);
       if (cell_weight(i) != p.weight) return false;
-      const CellState& c = cells_[i];
-      bool ok;
-      if (c.blocked) {
-        ok = false;
-      } else if (!opts_.conflict_aware) {
-        ok = true;
-      } else {
-        double end = start + task_->transport_time;
-        if (dist_[i] <= cache_cells_ && task_->cache_dwell > 0.0) {
-          end += task_->cache_dwell;
-        }
-        ok = !c.occupancy.overlaps({start - wash_needed(i), end});
-      }
+      const bool ok = !cells_[i].blocked &&
+                      (!opts_.conflict_aware || !conflicts(i, start));
       if (ok != p.feasible) return false;
     }
     return true;
@@ -135,6 +126,7 @@ class RouterCore {
     ++gen_;
     task_ = &task;
     sources_ = &sources;
+    targets_ = &targets;
     dist_ = distance_field(target_component, targets).data();
     for (const Point& t : targets) target_stamp_[index(t)] = gen_;
   }
@@ -144,10 +136,13 @@ class RouterCore {
   /// the feasibility predicate. Each call is a fresh search: the search
   /// generation is bumped so best-g/parent state from a previous
   /// postponement attempt (same task, earlier start) is invalidated, just
-  /// like the reference router's per-call maps.
+  /// like the reference router's per-call maps. A failed search leaves
+  /// its source-side failure certificate in source_cert_ (see
+  /// find_path_postponed).
   std::vector<Point> find_path(double start) {
     ++search_gen_;
     heap_.clear();
+    source_cert_.clear();
     for (const Point& s : *sources_) {
       const std::size_t i = index(s);
       if (!feasible(i, start)) {
@@ -182,6 +177,51 @@ class RouterCore {
       if (y > 0) relax(i, {x, y - 1}, node.g, start);
     }
     return {};
+  }
+
+  /// Conflict-aware postponement (Eq. 5 prices a conflicting cell at
+  /// +inf, so a task with no feasible path waits): searches at `start`
+  /// and, while no path exists, postpones by postpone_step and tries
+  /// again. Advances `start` and `delay` by the postponement, counts each
+  /// step, and throws RoutingError once a search at the
+  /// max_postpone_steps-th step still fails. An installed probe log is
+  /// cleared before each search, so it ends holding the read-set of the
+  /// final, successful one.
+  ///
+  /// A retry searches only when it might succeed. A failed search
+  /// expands every cell reachable from the feasible sources through
+  /// feasible cells (region R, which holds no target) and probes every
+  /// neighbour of R. The non-blocked cells it found infeasible, sources
+  /// included, are its *failure certificate*: a path at a later start
+  /// has to start outside R or leave it, through a certificate cell
+  /// either way, since blocked cells never unblock. Within one task only
+  /// the start changes a verdict (occupancy, residues and the distance
+  /// field are fixed until occupy()), so while every certificate cell
+  /// still conflicts, the search would fail again and is skipped. A
+  /// flood from the targets yields a second certificate the same way
+  /// (flood_targets); either one holding proves failure. Each step still
+  /// counts and checks max_postpone_steps in the original order, so
+  /// paths, starts, delays and the error are exactly those of searching
+  /// every step; the search counters count only the searches that ran.
+  /// docs/ALGORITHMS.md §3 gives the proof.
+  std::vector<Point> find_path_postponed(double& start, double& delay) {
+    double failed_at = start;
+    bool flooded = false;
+    for (int attempt = 0;; ++attempt) {
+      if (attempt == 0 || !certified_to_fail(start, failed_at, flooded)) {
+        if (probe_log_) probe_log_->clear();
+        std::vector<Point> path = find_path(start);
+        if (!path.empty()) return path;
+        failed_at = start;
+        flooded = false;
+      }
+      if (attempt >= opts_.max_postpone_steps) {
+        throw RoutingError("unroutable transport task (after postponing)");
+      }
+      start += opts_.postpone_step;
+      delay += opts_.postpone_step;
+      ++stats_->postponement_steps;
+    }
   }
 
   /// Earliest start >= desired at which every path cell is free for its
@@ -255,7 +295,6 @@ class RouterCore {
     }
   }
 
-  void count_postponement_step() { ++stats_->postponement_steps; }
   void count_task_routed() { ++stats_->tasks_routed; }
 
   std::size_t index(const Point& p) const {
@@ -297,36 +336,106 @@ class RouterCore {
     return opts_.wash_aware_weights ? cells_[i].weight : uniform_weight_;
   }
 
-  /// Eq. 5 feasibility: blocked cells and (in conflict-aware mode) cells
-  /// whose occupation slots overlap the task's required interval are +inf.
-  bool feasible(std::size_t i, double start) {
-    const CellState& c = cells_[i];
-    if (c.blocked) return false;
-    if (!opts_.conflict_aware) return true;
+  /// True when cell i's occupation slots overlap the interval the task
+  /// needs on it at `start`: the wash lead, the movement window and, for
+  /// tail cells (near a target port), the cache dwell. dist_ equals the
+  /// reference's min-Manhattan scan over all targets. Counts nothing.
+  bool conflicts(std::size_t i, double start) {
     const double wash = wash_needed(i);
     double end = start + task_->transport_time;
-    // Tail cells (near a target port) also carry the cache dwell. dist_
-    // equals the reference's min-Manhattan scan over all targets.
     if (dist_[i] <= cache_cells_ && task_->cache_dwell > 0.0) {
       end += task_->cache_dwell;
     }
-    if (c.occupancy.overlaps({start - wash, end})) {
+    return cells_[i].occupancy.overlaps({start - wash, end});
+  }
+
+  /// Eq. 5 feasibility: blocked cells and (in conflict-aware mode) cells
+  /// whose occupation slots overlap the task's required interval are +inf.
+  bool feasible(std::size_t i, double start) {
+    if (cells_[i].blocked) return false;
+    if (!opts_.conflict_aware) return true;
+    if (conflicts(i, start)) {
       ++stats_->feasibility_rejections;
       return false;
     }
     return true;
   }
 
-  /// Records the first probe of an infeasible cell. Infeasible cells are
-  /// the only ones that need their own dedup stamp: a rejected cell never
-  /// enters the g-relaxation, so re-probes from other neighbours cannot
-  /// be deduped any cheaper. They are a small minority of probes, so the
-  /// stamp's random access stays off the hot path.
+  /// Records the first probe of an infeasible cell, in the probe log if
+  /// one is installed and, unless blocked, in the failure certificate.
+  /// Infeasible cells are the only ones that need their own dedup stamp:
+  /// a rejected cell never enters the g-relaxation, so re-probes from
+  /// other neighbours cannot be deduped any cheaper. They are a small
+  /// minority of probes, so the stamp's random access stays off the hot
+  /// path.
   void record_infeasible(std::size_t i) {
-    if (probe_log_ && probe_stamp_[i] != search_gen_) {
-      probe_stamp_[i] = search_gen_;
+    if (probe_stamp_[i] == search_gen_) return;
+    probe_stamp_[i] = search_gen_;
+    if (probe_log_) {
       probe_log_->push_back(
           {static_cast<std::int32_t>(i), false, cell_weight(i)});
+    }
+    if (!cells_[i].blocked) {
+      source_cert_.push_back(static_cast<std::int32_t>(i));
+    }
+  }
+
+  /// True when every cell of a failure certificate still conflicts at
+  /// `start` — then a search at `start` fails (find_path_postponed).
+  bool still_conflicting(const std::vector<std::int32_t>& cert,
+                         double start) {
+    for (const std::int32_t i : cert) {
+      if (!conflicts(static_cast<std::size_t>(i), start)) return false;
+    }
+    return true;
+  }
+
+  /// Whether a failure at `failed_at` proves a search at `start` fails
+  /// too: the source-side certificate from the failed search holds, or
+  /// else the target-side one, flooded on first use.
+  bool certified_to_fail(double start, double failed_at, bool& flooded) {
+    if (still_conflicting(source_cert_, start)) return true;
+    if (!flooded) {
+      flood_targets(failed_at);
+      flooded = true;
+    }
+    return still_conflicting(target_cert_, start);
+  }
+
+  /// Target-side failure certificate of a search that failed at `start`:
+  /// a BFS from the targets through cells feasible at `start` collects
+  /// into target_cert_ the non-blocked infeasible cells on the flooded
+  /// region's boundary and the non-blocked infeasible targets. The
+  /// region holds no source (the search would have found a path), so a
+  /// later path has to cross that boundary. Runs lazily, once the
+  /// source-side certificate breaks, and uses its own search generation
+  /// for visit stamps; the next find_path bumps it again.
+  void flood_targets(double start) {
+    ++search_gen_;
+    target_cert_.clear();
+    bfs_queue_.clear();
+    auto visit = [&](std::size_t i) {
+      if (g_stamp_[i] == search_gen_ || probe_stamp_[i] == search_gen_ ||
+          cells_[i].blocked) {
+        return;
+      }
+      if (conflicts(i, start)) {
+        probe_stamp_[i] = search_gen_;
+        target_cert_.push_back(static_cast<std::int32_t>(i));
+        return;
+      }
+      g_stamp_[i] = search_gen_;
+      bfs_queue_.push_back(static_cast<std::int32_t>(i));
+    };
+    for (const Point& t : *targets_) visit(index(t));
+    for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+      const std::size_t cur = static_cast<std::size_t>(bfs_queue_[head]);
+      const int x = static_cast<int>(cur) % width_;
+      const int y = static_cast<int>(cur) / width_;
+      if (x + 1 < width_) visit(cur + 1);
+      if (x > 0) visit(cur - 1);
+      if (y + 1 < height_) visit(cur + static_cast<std::size_t>(width_));
+      if (y > 0) visit(cur - static_cast<std::size_t>(width_));
     }
   }
 
@@ -434,6 +543,7 @@ class RouterCore {
 
   const RouteTask* task_ = nullptr;
   const std::vector<Point>* sources_ = nullptr;
+  const std::vector<Point>* targets_ = nullptr;
   const std::int32_t* dist_ = nullptr;  ///< current task's heuristic field
   std::uint32_t gen_ = 0;         ///< task generation (targets, wash cache)
   std::uint32_t search_gen_ = 0;  ///< search generation (best g, parents)
@@ -452,6 +562,11 @@ class RouterCore {
   std::vector<std::uint32_t> wash_stamp_;
   std::vector<std::uint32_t> probe_stamp_;
   std::vector<Probe>* probe_log_ = nullptr;
+  /// Failure certificates (cell indices) of the last failed search: the
+  /// non-blocked cells it probed infeasible, and those flood_targets
+  /// found on the target side.
+  std::vector<std::int32_t> source_cert_;
+  std::vector<std::int32_t> target_cert_;
 
   std::vector<Node> heap_;  ///< open list (std::push_heap/pop_heap)
 };

@@ -13,12 +13,19 @@ namespace fbmb {
 /// Search-effort counters for one routing pass (or, after
 /// route_until_consistent, the sum over its rounds). Telemetry-only: two
 /// RoutingResults are considered equivalent regardless of their stats.
+/// The three search counters cover only the A* searches that actually
+/// ran: a postponement step whose failure certificate still holds runs
+/// none (RouterCore::find_path_postponed), and neither do replayed tasks.
 struct RouteStats {
-  std::uint64_t tasks_routed = 0;           ///< transports routed
-  std::uint64_t nodes_expanded = 0;         ///< non-stale A* pops
-  std::uint64_t heap_pushes = 0;            ///< A* open-list insertions
-  std::uint64_t feasibility_rejections = 0; ///< cells priced +inf (Eq. 5)
-  std::uint64_t postponement_steps = 0;     ///< postpone_step increments
+  std::uint64_t tasks_routed = 0;    ///< transports routed, not replayed
+  std::uint64_t nodes_expanded = 0;  ///< non-stale A* pops
+  std::uint64_t heap_pushes = 0;     ///< A* open-list insertions
+  /// Cells an A* search priced +inf for a conflict (Eq. 5); blocked
+  /// cells and certificate checks count nothing.
+  std::uint64_t feasibility_rejections = 0;
+  /// Every postpone_step increment, whether its retry was searched or
+  /// certified to fail; the same count a search-every-step loop makes.
+  std::uint64_t postponement_steps = 0;
   std::uint64_t distance_fields_built = 0;  ///< heuristic BFS fields built
   /// Route–retime fixpoints that hit RouterOptions::max_fixpoint_rounds
   /// with delays still pending (the result is still consistent: the cap

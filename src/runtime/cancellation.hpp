@@ -64,9 +64,12 @@ class CancellationToken {
   }
 
   /// Convenience: deadline `timeout` from now. Non-positive timeouts expire
-  /// immediately.
+  /// immediately; a deadline past the clock's range means none.
   void set_timeout(std::chrono::nanoseconds timeout) {
-    set_deadline(Clock::now() + timeout);
+    const Clock::time_point now = Clock::now();
+    set_deadline(timeout >= Clock::time_point::max() - now
+                     ? Clock::time_point::max()
+                     : now + timeout);
   }
 
   bool cancelled() const {

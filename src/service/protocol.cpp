@@ -133,8 +133,9 @@ std::optional<SynthesizeRequest> parse_synthesize_request(
   bool present = false;
   if (!read_number(*root, "seed", value, present, error)) return std::nullopt;
   if (present) {
-    if (value < 0.0) {
-      error = "\"seed\" must be non-negative";
+    // 2^64: any double below it converts to std::uint64_t ([conv.fpint]).
+    if (value < 0.0 || value >= 18446744073709551616.0) {
+      error = "\"seed\" must be in [0, 2^64)";
       return std::nullopt;
     }
     req.job.options.placer.seed = static_cast<std::uint64_t>(value);
@@ -153,8 +154,10 @@ std::optional<SynthesizeRequest> parse_synthesize_request(
     return std::nullopt;
   }
   if (present) {
-    if (value < 0.0) {
-      error = "\"timeout_ms\" must be non-negative";
+    // The server arms the deadline in nanoseconds as a std::int64_t, so
+    // timeout_ms * 1e6 must stay below 2^63.
+    if (value < 0.0 || value * 1e6 >= 9223372036854775808.0) {
+      error = "\"timeout_ms\" must be in [0, 2^63 ns)";
       return std::nullopt;
     }
     req.timeout_ms = value;

@@ -311,6 +311,7 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
 
   auto token = std::make_shared<CancellationToken>();
   if (parsed->timeout_ms > 0.0) {
+    // parse_synthesize_request keeps timeout_ms * 1e6 below 2^63.
     token->set_timeout(std::chrono::nanoseconds(
         static_cast<std::int64_t>(parsed->timeout_ms * 1e6)));
   }

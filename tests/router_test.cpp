@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "route/reference_router.hpp"
+#include "route/router_core.hpp"
 #include "route/validator.hpp"
 
 namespace fbmb {
@@ -23,6 +27,16 @@ struct RouterFixture {
   }
 
   RoutingGrid grid() { return RoutingGrid(chip, alloc, placement); }
+
+  /// A grid whose target-mixer (component 1) ports are all reserved for
+  /// [0, until): no transport into it can start before `until`.
+  RoutingGrid grid_with_busy_target(double until) {
+    RoutingGrid g = grid();
+    for (const Point& p : g.ports(ComponentId{1})) {
+      g.cell(p).occupancy.insert_disjoint({0.0, until});
+    }
+    return g;
+  }
 
   static TransportTask transport(int id, int from, int to, double dep,
                                  double consume,
@@ -293,6 +307,89 @@ TEST(Router, StatsCountSearchEffort) {
   EXPECT_GT(result.stats.heap_pushes, 0u);
   // One heuristic field per distinct target component (component 1 twice).
   EXPECT_EQ(result.stats.distance_fields_built, 1u);
+}
+
+TEST(Router, CertifiedPostponementSkipsFailingSearches) {
+  // Every start before 50 s fails, because all target ports are busy. The
+  // router must postpone 50 steps to exactly the reference's path and
+  // start, but the failure at 0 s certifies every retry until a port
+  // frees up, so it searches twice where the reference searches 51 times.
+  RouterFixture fx;
+  auto grid = fx.grid_with_busy_target(50.0);
+  auto ref_grid = fx.grid_with_busy_target(50.0);
+  Schedule s;
+  s.transports = {RouterFixture::transport(0, 0, 1, 0.0, 2.0)};
+  const auto result = route_transports(grid, s, fx.wash);
+  const auto ref = route_transports_reference(ref_grid, s, fx.wash);
+  EXPECT_TRUE(identical_routing(result, ref));
+  ASSERT_EQ(result.paths.size(), 1u);
+  EXPECT_EQ(result.paths[0].start, 50.0);
+  EXPECT_EQ(result.paths[0].delay, 50.0);
+  EXPECT_EQ(result.stats.postponement_steps, 50u);
+  // A search expands each cell at most once (the Manhattan heuristic is
+  // consistent: every step costs at least 1), so two searches expand at
+  // most two grids' worth of cells; 51 searches expand ~50 failed
+  // floods of the reachable region.
+  const auto cells = static_cast<std::uint64_t>(fx.chip.grid_width) *
+                     static_cast<std::uint64_t>(fx.chip.grid_height);
+  EXPECT_LE(result.stats.nodes_expanded, 2 * cells);
+}
+
+TEST(Router, GivesUpAfterMaxPostponeStepsLikeReference) {
+  // The target ports stay busy past the 20-step postponement budget: both
+  // routers give up with the same error, certified retries or not.
+  RouterFixture fx;
+  auto grid = fx.grid_with_busy_target(1000.0);
+  auto ref_grid = fx.grid_with_busy_target(1000.0);
+  Schedule s;
+  s.transports = {RouterFixture::transport(0, 0, 1, 0.0, 2.0)};
+  RouterOptions opts;
+  opts.max_postpone_steps = 20;
+  std::string core_error;
+  std::string ref_error;
+  try {
+    route_transports(grid, s, fx.wash, opts);
+  } catch (const RoutingError& e) {
+    core_error = e.what();
+  }
+  try {
+    route_transports_reference(ref_grid, s, fx.wash, opts);
+  } catch (const RoutingError& e) {
+    ref_error = e.what();
+  }
+  EXPECT_EQ(core_error, "unroutable transport task (after postponing)");
+  EXPECT_EQ(core_error, ref_error);
+}
+
+TEST(Router, PostponedProbeLogIsTheFinalSearchReadSet) {
+  // Incremental reuse verifies a task against the read-set of the search
+  // that committed its path, so after certified retries the probe log
+  // must hold exactly what one search at the final start records.
+  RouterFixture fx;
+  auto grid = fx.grid_with_busy_target(50.0);
+  const RouterOptions opts;
+  RouteStats stats;
+  RouterCore core(grid, fx.wash, opts, &stats);
+  const std::vector<Point> sources = grid.ports(ComponentId{0});
+  const std::vector<Point> targets = grid.ports(ComponentId{1});
+  const RouteTask task{0, ComponentId{0}, ComponentId{1}, Fluid{"f", 1e-5},
+                       0.0, 2.0, 0.0};
+  core.begin_task(task, sources, targets, ComponentId{1});
+  std::vector<RouterCore::Probe> postponed;
+  core.set_probe_log(&postponed);
+  double start = task.start;
+  double delay = 0.0;
+  const std::vector<Point> path = core.find_path_postponed(start, delay);
+  EXPECT_EQ(start, 50.0);
+  std::vector<RouterCore::Probe> single;
+  core.set_probe_log(&single);
+  EXPECT_EQ(core.find_path(start), path);
+  ASSERT_EQ(postponed.size(), single.size());
+  for (std::size_t i = 0; i < single.size(); ++i) {
+    EXPECT_EQ(postponed[i].cell, single[i].cell) << i;
+    EXPECT_EQ(postponed[i].feasible, single[i].feasible) << i;
+    EXPECT_EQ(postponed[i].weight, single[i].weight) << i;
+  }
 }
 
 TEST(RoutingResult, DistinctEdgesCountsSharingOnce) {

@@ -246,6 +246,15 @@ TEST(SynthesisEngine, ExpiredDeadlineReportsDeadlineReason) {
   }
 }
 
+TEST(CancellationToken, TimeoutPastTheClockRangeMeansNoDeadline) {
+  // now + timeout would overflow the clock's signed tick count.
+  CancellationToken token;
+  token.set_timeout(std::chrono::nanoseconds::max());
+  EXPECT_FALSE(token.deadline_expired());
+  token.set_timeout(std::chrono::nanoseconds(0));
+  EXPECT_TRUE(token.deadline_expired());
+}
+
 TEST(SynthesisEngine, CancelledJobIsNeverCached) {
   const auto bench = make_pcr();
   SynthesisJob job;

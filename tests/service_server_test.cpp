@@ -15,6 +15,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "runtime/result_io.hpp"
 #include "service/http.hpp"
+#include "service/protocol.hpp"
 #include "service/socket.hpp"
 
 namespace fbmb::service {
@@ -150,6 +151,10 @@ TEST(SynthServer, RejectsBadRequestBodies) {
            R"({"benchmark": "PCR", "restarts": 0})",  // bad restarts
            R"({"assay": "op a mix 5"})",              // assay, no allocate
            R"({"assay": "op a mix"})",                // malformed assay
+           // Past the integer types a seed and a deadline convert to.
+           R"({"benchmark": "PCR", "seed": 1e300})",
+           R"({"benchmark": "PCR", "seed": 18446744073709551616})",
+           R"({"benchmark": "PCR", "timeout_ms": 1e300})",
        }) {
     const auto response =
         roundtrip(server.port(), "POST", "/synthesize", body);
@@ -157,7 +162,25 @@ TEST(SynthServer, RejectsBadRequestBodies) {
     EXPECT_EQ(response->status, 400) << body;
     EXPECT_NE(response->body.find("\"error\""), std::string::npos) << body;
   }
-  EXPECT_GE(response_counter(server.port(), "bad_request"), 10u);
+  EXPECT_GE(response_counter(server.port(), "bad_request"), 13u);
+}
+
+TEST(SynthServer, AcceptsSeedAndTimeoutAtTheirLimits) {
+  // The largest double below 2^64 is a valid seed and converts exactly.
+  std::string error;
+  const auto req = parse_synthesize_request(
+      R"({"benchmark": "PCR", "seed": 18446744073709549568})", error);
+  ASSERT_TRUE(req.has_value()) << error;
+  EXPECT_EQ(req->job.options.placer.seed, 18446744073709549568u);
+  // 9223372036854 ms is just below 2^63 ns: the server arms a deadline
+  // centuries away, past the clock's range, and the job runs.
+  SynthServer server(test_options());
+  server.start();
+  const auto response =
+      roundtrip(server.port(), "POST", "/synthesize",
+                R"({"benchmark": "PCR", "timeout_ms": 9223372036854})");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 200) << response->body;
 }
 
 TEST(SynthServer, UnknownTargetsAndMethods) {
