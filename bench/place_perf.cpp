@@ -1,14 +1,18 @@
 // Placer-core micro-benchmark: incremental PlacerCore vs the
-// full-recompute reference placer.
+// full-recompute reference placer, and BA's incremental correction loop
+// vs its reference.
 //
 // For every paper benchmark this bench builds one schedule with the
 // paper's DCSA flow, then times place_component_candidates (delta
 // energies, in-place moves, occupancy-grid legality) against
 // place_component_candidates_reference (per-proposal Placement copies and
 // full energy recomputation), verifying along the way that the two
-// produce bit-identical placements and energies. Reports a table and a
-// JSON object with per-benchmark timings, proposal throughput, and the
-// core's search counters.
+// produce bit-identical placements and energies. A second row per
+// benchmark ("<name>/BA") builds the BA flow's schedule and times
+// place_components_baseline against place_components_baseline_reference,
+// verifying identical origins and rotations. Reports a table and a JSON
+// object with per-row timings, proposal throughput, and the SA core's
+// search counters.
 //
 //   build/bench/place_perf [--json-out FILE]
 
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "place/constructive_placer.hpp"
 #include "place/reference_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "report/table.hpp"
@@ -78,19 +83,44 @@ bool identical(const Scenario& s, const std::vector<Placement>& a,
   return true;
 }
 
-template <typename PlaceFn>
-double time_place(const Scenario& s, PlaceFn place,
-                  std::vector<Placement>& last) {
+template <typename PlaceFn, typename Result>
+double time_place(const Scenario& s, PlaceFn place, Result& last) {
   double best = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = Clock::now();
-    std::vector<Placement> result = place(s);
+    Result result = place(s);
     const double seconds =
         std::chrono::duration<double>(Clock::now() - t0).count();
     if (rep == 0 || seconds < best) best = seconds;
     last = std::move(result);
   }
   return best;
+}
+
+/// The BA flow's placement input: earliest-ready binding, no storage
+/// refinement.
+Scenario prepare_baseline(const Benchmark& bench) {
+  Scenario s;
+  s.name = bench.name + "/BA";
+  s.alloc = Allocation(bench.allocation);
+  s.wash = bench.wash;
+  SchedulerOptions sched;
+  sched.policy = BindingPolicy::kBaseline;
+  sched.refine_storage = false;
+  s.schedule = schedule_bioassay(bench.graph, s.alloc, bench.wash, sched);
+  s.chip = derive_grid(ChipSpec{}, allocation_area(s.alloc, 1));
+  return s;
+}
+
+bool identical_baseline(const Scenario& s, const Placement& a,
+                        const Placement& b) {
+  for (const auto& comp : s.alloc.components()) {
+    if (a.at(comp.id).origin != b.at(comp.id).origin ||
+        a.at(comp.id).rotated != b.at(comp.id).rotated) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string num(double v) {
@@ -176,11 +206,46 @@ int main(int argc, char** argv) {
          << ", \"full_evals\": " << stats.full_evals
          << ", \"occupancy_probes\": " << stats.occupancy_probes << "}}";
     first = false;
+
+    const Scenario b = prepare_baseline(bench);
+    Placement ba_core;
+    const double ba_core_s = time_place(
+        b,
+        [](const Scenario& sc) {
+          return place_components_baseline(sc.alloc, sc.schedule, sc.chip);
+        },
+        ba_core);
+    Placement ba_ref;
+    const double ba_ref_s = time_place(
+        b,
+        [](const Scenario& sc) {
+          return place_components_baseline_reference(sc.alloc, sc.schedule,
+                                                     sc.chip);
+        },
+        ba_ref);
+    const bool ba_identical = identical_baseline(b, ba_core, ba_ref);
+    if (!ba_identical) {
+      all_equal = false;
+      std::cerr << "MISMATCH: " << b.name
+                << ": baseline placer result differs from reference\n";
+    }
+    const double ba_speedup = ba_core_s > 0.0 ? ba_ref_s / ba_core_s : 0.0;
+    table.add_row({b.name, std::to_string(b.alloc.size()), "-",
+                   format_double(ba_ref_s * 1e3, 3),
+                   format_double(ba_core_s * 1e3, 3),
+                   format_double(ba_speedup, 2), "-", "-"});
+    json << ",\n  {\"name\": \"" << b.name
+         << "\", \"components\": " << b.alloc.size()
+         << ", \"reference_seconds\": " << num(ba_ref_s)
+         << ", \"core_seconds\": " << num(ba_core_s)
+         << ", \"speedup\": " << num(ba_speedup)
+         << ", \"identical\": " << (ba_identical ? "true" : "false") << "}";
   }
   json << "\n]}";
 
   std::cout << "PLACER CORE: incremental delta-energy SA vs full-recompute "
-               "reference\n(best of " << kReps
+               "reference,\nand BA's incremental correction loop (/BA rows) vs "
+               "its reference\n(best of " << kReps
             << " runs per placer; results verified identical)\n\n"
             << table << "\nJSON:\n" << json.str() << "\n";
   if (!json_out.empty()) {

@@ -90,11 +90,11 @@ RoutingResult route_until_consistent(
     }
     if (round_index + 1 >= max_rounds) {
       // Round cap with delays pending: apply the final retiming, then
-      // route once more against the retimed schedule so the returned
-      // (schedule, routing) pair stays consistent — the pre-fix code
-      // returned the pre-retiming paths here. The reconciliation round's
-      // own delays (if any) are already baked into its path starts
-      // (path.start >= departure), so they are reported but not retimed.
+      // route once more against the retimed schedule rather than return
+      // the pre-retiming paths. The reconciliation round's own delays (if
+      // any) are baked into its path starts (path.start >= departure) but
+      // never reach the schedule, so the pair is not consistent
+      // (RouterOptions::max_fixpoint_rounds).
       FBMB_WARN("routing still postponing after " << max_rounds
                                                   << " rounds");
       const auto retime_start = Clock::now();

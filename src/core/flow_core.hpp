@@ -3,13 +3,17 @@
 // Routing resolves transport conflicts by postponing tasks; postponements
 // must be folded back into the schedule (retiming), which changes the
 // windows later transports route against, so routing and retiming iterate
-// until a conflict-free consistent (schedule, routing) pair emerges.
-// Delays only ever push events later, so the loop converges;
-// RouterOptions::max_fixpoint_rounds guards pathological cases, and the
-// cap path stays consistent: it applies the final retiming and runs one
-// reconciliation route against the retimed schedule (reported via
-// RouteStats::fixpoints_capped) instead of returning paths that predate
-// the retiming.
+// until a round produces no delays. Delays only push events later, but
+// that does not make the loop converge: postponing an input can push the
+// later operations on its component, and with them the plugs parked for
+// those operations, into a wait-for cycle that repeats every round. On
+// 70-operation assays about a third of candidate fixpoints run into
+// RouterOptions::max_fixpoint_rounds (ROADMAP.md, item (1)). At the cap
+// the loop applies the final retiming and runs one reconciliation route
+// against the retimed schedule (reported via RouteStats::fixpoints_capped),
+// but that route's own delays are reported, not retimed, so a capped
+// (schedule, routing) pair is not consistent: every one measured fails
+// simulate_chip.
 //
 // route_until_consistent is the incremental core: it keeps one
 // IncrementalRouter across rounds, so after the first round only the

@@ -1,49 +1,28 @@
 #include "place/constructive_placer.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <vector>
+
+#include "place/placer_core.hpp"
 
 namespace fbmb {
 
 namespace {
 
-bool fits_except(const Placement& placement, const Allocation& allocation,
-                 const ChipSpec& spec, ComponentId id) {
-  const Rect chip{0, 0, spec.grid_width, spec.grid_height};
-  const Rect fp = placement.footprint(id, allocation);
-  if (!chip.contains(fp)) return false;
-  const Rect inflated = fp.inflated(spec.component_spacing);
-  for (const auto& other : allocation.components()) {
-    if (other.id == id) continue;
-    if (inflated.overlaps(placement.footprint(other.id, allocation))) {
-      return false;
-    }
+/// One axis of the visit's wirelength: cost[v] = Σ |v + half − c| over the
+/// centre coordinates `centres`, for every origin v in [0, size).
+void fill_axis_cost(std::vector<long>& cost, int size, int half,
+                    const std::vector<int>& centres) {
+  cost.assign(static_cast<std::size_t>(std::max(0, size)), 0);
+  for (std::size_t v = 0; v < cost.size(); ++v) {
+    const int centre = static_cast<int>(v) + half;
+    long sum = 0;
+    for (const int c : centres) sum += std::abs(centre - c);
+    cost[v] = sum;
   }
-  return true;
-}
-
-Placement shelf_pack(const Allocation& allocation, const ChipSpec& spec) {
-  Placement placement(allocation.size());
-  const int spacing = spec.component_spacing;
-  int x = spacing;
-  int y = spacing;
-  int row_height = 0;
-  for (const auto& comp : allocation.components()) {
-    if (x + comp.width + spacing > spec.grid_width) {
-      x = spacing;
-      y += row_height + spacing;
-      row_height = 0;
-    }
-    placement.at(comp.id) = {{x, y}, false};
-    x += comp.width + spacing;
-    row_height = std::max(row_height, comp.height);
-  }
-  if (!placement.is_legal(allocation, spec)) {
-    throw std::runtime_error(
-        "allocation does not fit on the chip grid; enlarge ChipSpec");
-  }
-  return placement;
 }
 
 }  // namespace
@@ -72,51 +51,84 @@ Placement place_components_baseline(
 
   Placement placement = shelf_pack(allocation, spec);
 
-  // Sequential correction: relocate each component to the legal origin that
-  // minimizes the sum of Manhattan distances to its neighbours (then total
-  // spread as a tiebreak so disconnected components also settle).
-  const int stride = std::max(1, options.scan_stride);
+  // Footprint centres and an occupancy grid of every footprint, kept in
+  // step with `placement`. Every footprint stays inside the chip and the
+  // footprints stay disjoint (spacing >= 0): the packing is checked legal
+  // and a component only moves to a legal origin.
+  std::vector<int> cx(allocation.size());
+  std::vector<int> cy(allocation.size());
+  OccupancyIndex occupancy(spec.grid_width, spec.grid_height);
+  for (const auto& comp : allocation.components()) {
+    const Rect fp = placement.footprint(comp.id, allocation);
+    cx[static_cast<std::size_t>(comp.id.value)] = fp.center().x;
+    cy[static_cast<std::size_t>(comp.id.value)] = fp.center().y;
+    occupancy.insert(fp, comp.id.value);
+  }
+
+  // Sequential correction: relocate each component to the legal origin
+  // with the least sum of centre-to-centre Manhattan distances to its
+  // neighbours, or to every other component if it has none. Only the
+  // visited component moves, so the cost is separable: Σ|x + w/2 − cx_n|
+  // + Σ|y + h/2 − cy_n|, one table per axis and rotation. Origins are
+  // scanned in (rotation, y, x) order and a strictly lower cost wins, so
+  // ties keep the earliest; the legality probe runs only for an origin
+  // that would win.
+  std::vector<int> xs;
+  std::vector<int> ys;
+  std::vector<long> cost_x;
+  std::vector<long> cost_y;
   for (int pass = 0; pass < options.correction_passes; ++pass) {
     bool improved = false;
     for (const auto& comp : allocation.components()) {
-      const auto& nbrs = neighbors[static_cast<std::size_t>(comp.id.value)];
-      const PlacedComponent original = placement.at(comp.id);
-      auto cost = [&]() {
-        long c = 0;
-        const Rect fp = placement.footprint(comp.id, allocation);
-        if (!nbrs.empty()) {
-          for (ComponentId n : nbrs) {
-            c += manhattan_distance(fp, placement.footprint(n, allocation));
-          }
-        } else {
-          for (const auto& other : allocation.components()) {
-            if (other.id == comp.id) continue;
-            c += manhattan_distance(
-                fp, placement.footprint(other.id, allocation));
-          }
+      const int id = comp.id.value;
+      const auto slot = static_cast<std::size_t>(id);
+      xs.clear();
+      ys.clear();
+      if (!neighbors[slot].empty()) {
+        for (const ComponentId n : neighbors[slot]) {
+          xs.push_back(cx[static_cast<std::size_t>(n.value)]);
+          ys.push_back(cy[static_cast<std::size_t>(n.value)]);
         }
-        return c;
-      };
-      long best_cost = cost();
+      } else {
+        for (std::size_t other = 0; other < allocation.size(); ++other) {
+          if (other == slot) continue;
+          xs.push_back(cx[other]);
+          ys.push_back(cy[other]);
+        }
+      }
+      long best_cost = 0;
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        best_cost += std::abs(cx[slot] - xs[k]) + std::abs(cy[slot] - ys[k]);
+      }
+      const PlacedComponent original = placement.at(comp.id);
       PlacedComponent best = original;
       for (int rot = 0; rot < 2; ++rot) {
         const bool rotated = rot == 1;
         const int w = rotated ? comp.height : comp.width;
         const int h = rotated ? comp.width : comp.height;
-        for (int y = 0; y + h <= spec.grid_height; y += stride) {
-          for (int x = 0; x + w <= spec.grid_width; x += stride) {
-            placement.at(comp.id) = {{x, y}, rotated};
-            if (!fits_except(placement, allocation, spec, comp.id)) continue;
-            const long c = cost();
-            if (c < best_cost) {
-              best_cost = c;
-              best = placement.at(comp.id);
+        fill_axis_cost(cost_x, spec.grid_width - w + 1, w / 2, xs);
+        fill_axis_cost(cost_y, spec.grid_height - h + 1, h / 2, ys);
+        for (std::size_t y = 0; y < cost_y.size(); ++y) {
+          for (std::size_t x = 0; x < cost_x.size(); ++x) {
+            const long c = cost_y[y] + cost_x[x];
+            if (c >= best_cost) continue;
+            const Rect fp{static_cast<int>(x), static_cast<int>(y), w, h};
+            if (occupancy.occupied(fp.inflated(spec.component_spacing), id)) {
+              continue;
             }
+            best_cost = c;
+            best = {{fp.x, fp.y}, rotated};
           }
         }
       }
-      placement.at(comp.id) = best;
-      if (!(best.origin == original.origin && best.rotated == original.rotated)) {
+      if (!(best.origin == original.origin &&
+            best.rotated == original.rotated)) {
+        occupancy.remove(placement.footprint(comp.id, allocation), id);
+        placement.at(comp.id) = best;
+        const Rect fp = placement.footprint(comp.id, allocation);
+        occupancy.insert(fp, id);
+        cx[slot] = fp.center().x;
+        cy[slot] = fp.center().y;
         improved = true;
       }
     }

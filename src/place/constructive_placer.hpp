@@ -8,6 +8,12 @@
 // connected components. Unlike the SA placer, BA knows nothing about
 // connection priorities (Eq. 4): all nets weigh the same, so concurrency
 // and wash time do not influence the floorplan.
+//
+// The correction loop is incremental: per visit it builds separable x / y
+// wirelength tables, tests an origin's cost before its legality, and
+// answers legality from an occupancy grid. It is bit-identical to the
+// original full-rescan loop, kept as place_components_baseline_reference
+// (place/reference_placer.hpp); docs/ALGORITHMS.md §2 gives the argument.
 
 #pragma once
 
@@ -20,10 +26,11 @@ namespace fbmb {
 
 struct ConstructivePlacerOptions {
   int correction_passes = 3;
-  /// Scan stride over candidate origins (1 = every cell).
-  int scan_stride = 1;
 };
 
+/// `spec` must have a fixed grid (throws std::invalid_argument otherwise)
+/// and a non-negative component_spacing, so that legal footprints are
+/// disjoint. Throws std::runtime_error if the allocation does not fit.
 Placement place_components_baseline(
     const Allocation& allocation, const Schedule& schedule,
     const ChipSpec& spec, const ConstructivePlacerOptions& options = {});

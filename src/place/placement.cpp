@@ -1,6 +1,8 @@
 #include "place/placement.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace fbmb {
 
@@ -87,6 +89,29 @@ std::string Placement::to_ascii(const Allocation& allocation,
   // Print top row last-first so y grows upward.
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) os << *it << '\n';
   return os.str();
+}
+
+Placement shelf_pack(const Allocation& allocation, const ChipSpec& spec) {
+  Placement placement(allocation.size());
+  const int spacing = spec.component_spacing;
+  int x = spacing;
+  int y = spacing;
+  int row_height = 0;
+  for (const auto& comp : allocation.components()) {
+    if (x + comp.width + spacing > spec.grid_width) {
+      x = spacing;
+      y += row_height + spacing;
+      row_height = 0;
+    }
+    placement.at(comp.id) = {{x, y}, false};
+    x += comp.width + spacing;
+    row_height = std::max(row_height, comp.height);
+  }
+  if (!placement.is_legal(allocation, spec)) {
+    throw std::runtime_error(
+        "allocation does not fit on the chip grid; enlarge ChipSpec");
+  }
+  return placement;
 }
 
 }  // namespace fbmb

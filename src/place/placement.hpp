@@ -49,7 +49,7 @@ class Placement {
                                       const ChipSpec& spec) const;
 
   /// Sum over all component pairs of center-to-center Manhattan distance
-  /// (unweighted spread; used by the baseline placer's cost).
+  /// (unweighted spread; the SA placer's compaction term).
   long total_pairwise_distance(const Allocation& allocation) const;
 
   /// ASCII sketch of the floorplan (component ids as letters). Cells in
@@ -62,5 +62,10 @@ class Placement {
  private:
   std::vector<PlacedComponent> placed_;
 };
+
+/// Deterministic row-major shelf packing, every component unrotated and
+/// `spec.component_spacing` cells from its neighbours and the rim. Throws
+/// std::runtime_error if the result is not legal (the grid is too small).
+Placement shelf_pack(const Allocation& allocation, const ChipSpec& spec);
 
 }  // namespace fbmb

@@ -12,12 +12,19 @@
 // The reference keeps no PlaceStats (mirroring route_transports_reference,
 // which keeps no RouteStats): counters are telemetry, and the oracle stays
 // frozen.
+//
+// place_components_baseline_reference is BA's original construction-by-
+// correction loop, the oracle for the incremental place_components_baseline
+// (place/constructive_placer.hpp): every candidate origin rescans all
+// components for legality and rebuilds its neighbours' footprints for the
+// cost.
 
 #pragma once
 
 #include "biochip/chip_spec.hpp"
 #include "biochip/component_library.hpp"
 #include "biochip/wash_model.hpp"
+#include "place/constructive_placer.hpp"
 #include "place/placement.hpp"
 #include "place/sa_placer.hpp"
 #include "schedule/types.hpp"
@@ -38,5 +45,11 @@ std::vector<Placement> place_component_candidates_reference(
     const Allocation& allocation, const Schedule& schedule,
     const WashModel& wash_model, const ChipSpec& spec,
     const PlacerOptions& options = {});
+
+/// Original BA correction loop. Same contract as place_components_baseline;
+/// bit-identical output for equal inputs.
+Placement place_components_baseline_reference(
+    const Allocation& allocation, const Schedule& schedule,
+    const ChipSpec& spec, const ConstructivePlacerOptions& options = {});
 
 }  // namespace fbmb

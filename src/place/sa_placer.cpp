@@ -9,36 +9,6 @@
 
 namespace fbmb {
 
-namespace {
-
-/// Deterministic packed placement: row-major shelf packing. Fallback when
-/// rejection sampling cannot find a random legal start.
-Placement packed_placement(const Allocation& allocation,
-                           const ChipSpec& spec) {
-  Placement placement(allocation.size());
-  const int spacing = spec.component_spacing;
-  int x = spacing;
-  int y = spacing;
-  int row_height = 0;
-  for (const auto& comp : allocation.components()) {
-    if (x + comp.width + spacing > spec.grid_width) {
-      x = spacing;
-      y += row_height + spacing;
-      row_height = 0;
-    }
-    placement.at(comp.id) = {{x, y}, false};
-    x += comp.width + spacing;
-    row_height = std::max(row_height, comp.height);
-  }
-  if (!placement.is_legal(allocation, spec)) {
-    throw std::runtime_error(
-        "allocation does not fit on the chip grid; enlarge ChipSpec");
-  }
-  return placement;
-}
-
-}  // namespace
-
 int allocation_area(const Allocation& allocation, int spacing) {
   int area = 0;
   for (const auto& comp : allocation.components()) {
@@ -99,7 +69,8 @@ Placement random_placement(const Allocation& allocation,
     }
   }
   if (ok && placement.is_legal(allocation, spec)) return placement;
-  return packed_placement(allocation, spec);
+  // Rejection sampling found no random legal start: fall back to packing.
+  return shelf_pack(allocation, spec);
 }
 
 namespace {

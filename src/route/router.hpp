@@ -59,11 +59,14 @@ struct RouterOptions {
   /// Give up after this many postponement steps for one task.
   int max_postpone_steps = 100000;
   /// Round cap for the route–retime fixpoint (route_until_consistent).
-  /// Delays only push events later so the loop converges; this guards
-  /// pathological cases. When the cap fires, the fixpoint applies the
-  /// final retiming and runs one reconciliation route so the returned
-  /// (schedule, routing) pair is still consistent, and reports it via
-  /// RouteStats::fixpoints_capped.
+  /// The loop need not converge: a postponement can start a wait-for
+  /// cycle that repeats every round, and about a third of 70-operation
+  /// candidate fixpoints reach this cap (ROADMAP.md, item (1)). When the
+  /// cap fires, the fixpoint applies the final retiming, runs one
+  /// reconciliation route and reports it via RouteStats::fixpoints_capped.
+  /// That route's own delays are not retimed, so the returned (schedule,
+  /// routing) pair is not consistent: every one measured fails
+  /// simulate_chip.
   int max_fixpoint_rounds = 20;
   /// Speculative routing workers per fixpoint round (<= 1 keeps the
   /// serial sweep). Execution policy, not an input: the speculative

@@ -28,8 +28,9 @@ struct RouteStats {
   std::uint64_t postponement_steps = 0;
   std::uint64_t distance_fields_built = 0;  ///< heuristic BFS fields built
   /// Route–retime fixpoints that hit RouterOptions::max_fixpoint_rounds
-  /// with delays still pending (the result is still consistent: the cap
-  /// path applies the final retiming and routes once more to reconcile).
+  /// with delays still pending. The cap path applies the final retiming
+  /// and routes once more, but that route's delays are not retimed, so
+  /// the result is not consistent (see RouterOptions::max_fixpoint_rounds).
   std::uint64_t fixpoints_capped = 0;
 
   RouteStats& operator+=(const RouteStats& o) {

@@ -143,7 +143,6 @@ void hash_options(InputHasher& h, const SynthesisOptions& options) {
   // placer.restart_executor is execution policy, not an input.
 
   h.i64(options.baseline_placer.correction_passes);
-  h.i64(options.baseline_placer.scan_stride);
 
   h.boolean(options.router.wash_aware_weights);
   h.u64(static_cast<std::uint64_t>(options.router.order));

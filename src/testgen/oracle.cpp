@@ -6,6 +6,7 @@
 
 #include "core/flow_core.hpp"
 #include "core/synthesis.hpp"
+#include "place/constructive_placer.hpp"
 #include "place/reference_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "route/grid.hpp"
@@ -211,6 +212,26 @@ OracleReport run_differential_oracle(const Scenario& scenario,
     return report;
   }
   const Placement& placement = *core_place.value;
+
+  // ---- Pair 2b: BA's construction-by-correction placer. The flow below
+  // routes the SA placement; this pair checks placement only. ----
+  auto core_baseline = capture([&] {
+    return place_components_baseline(allocation, schedule, chip);
+  });
+  auto ref_baseline = capture([&] {
+    return place_components_baseline_reference(allocation, schedule, chip);
+  });
+  if (!errors_agree("baseline placer", core_baseline, ref_baseline, report)) {
+    return report;
+  }
+  if (!identical_placements(*core_baseline.value, *ref_baseline.value)) {
+    report.fail("baseline placer: core and reference placements diverge");
+    return report;
+  }
+  if (!core_baseline.value->is_legal(allocation, chip)) {
+    report.fail("baseline placement validator: placement is not legal");
+    return report;
+  }
 
   // ---- Pair 3: single-pass router. ----
   auto core_route = capture([&] {

@@ -2,7 +2,8 @@
 //
 // Runs the scenario through every optimized core and its frozen reference
 // twin — scheduler (schedule_bioassay vs schedule_bioassay_reference),
-// placer (place_components vs place_components_reference), router
+// placer (place_components vs place_components_reference), BA's placer
+// (place_components_baseline vs place_components_baseline_reference), router
 // (route_transports vs route_transports_reference), and the route-retime
 // fixpoint (route_until_consistent vs route_until_consistent_reference,
 // serial and under the speculative parallel protocol) — asserting
