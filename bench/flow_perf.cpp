@@ -9,26 +9,16 @@
 // pairs, and the JSON records per-round reuse fractions so regressions in
 // the reuse rate are visible, not just wall time.
 //
-// With --threads N (N > 1) every scenario is additionally timed through
-// the speculative parallel router (route_threads = N on a shared
-// ThreadPool). The parallel result is verified bit-identical to the
-// reference too, and the JSON gains a "parallel" object per config
-// (seconds, speedup over the serial incremental core, speculation
-// counters) plus top-level parallel geomeans.
-//
-//   build/bench/flow_perf [--json-out FILE] [--threads N]
+//   build/bench/flow_perf [--json-out FILE]
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
@@ -36,7 +26,6 @@
 #include "place/constructive_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "report/table.hpp"
-#include "runtime/thread_pool.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/strings.hpp"
 
@@ -127,29 +116,17 @@ std::string num(double v) {
 
 int main(int argc, char** argv) {
   std::string json_out;
-  int threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
       json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     }
   }
-  const bool parallel = threads > 1;
-  std::unique_ptr<ThreadPool> pool;
-  if (parallel) pool = std::make_unique<ThreadPool>(threads);
 
-  std::vector<std::string> headers = {"Scenario", "Tasks",    "Rounds",
-                                      "Ref (ms)", "Incr (ms)", "Speedup",
-                                      "Reused",   "Rerouted"};
-  std::vector<Align> aligns = {Align::kLeft,  Align::kRight, Align::kRight,
-                               Align::kRight, Align::kRight, Align::kRight,
-                               Align::kRight, Align::kRight};
-  if (parallel) {
-    headers.insert(headers.end(), {"Par (ms)", "ParSpd"});
-    aligns.insert(aligns.end(), {Align::kRight, Align::kRight});
-  }
-  TextTable table(headers, aligns);
+  TextTable table({"Scenario", "Tasks", "Rounds", "Ref (ms)", "Incr (ms)",
+                   "Speedup", "Reused", "Rerouted"},
+                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight});
 
   std::ostringstream json;
   json << "{\"reps\": " << kReps << ", \"benchmarks\": [";
@@ -164,25 +141,12 @@ int main(int argc, char** argv) {
   // single-round rows.
   double log_speedup_sum_multi = 0.0;
   int speedup_count_multi = 0;
-  double par_log_speedup_sum = 0.0;
-  int par_speedup_count = 0;
-  double par_log_speedup_sum_multi = 0.0;
-  int par_speedup_count_multi = 0;
 
   for (const auto& bench : paper_benchmarks()) {
     for (const Scenario& s :
          {prepare_dcsa(bench), prepare_baseline(bench)}) {
-      Scenario par_s = s;
-      if (parallel) {
-        par_s.router.route_threads = threads;
-        par_s.router.route_executor =
-            [&pool](std::vector<std::function<void()>>& tasks) {
-              parallel_invoke(*pool, tasks);
-            };
-      }
       FixpointRun incremental;
       FixpointRun reference;
-      FixpointRun par;
       for (int rep = 0; rep < kReps; ++rep) {
         time_rep(s, bench,
                  [](Schedule& schedule, const SequencingGraph& graph,
@@ -206,19 +170,6 @@ int main(int argc, char** argv) {
                        router, stages, {}, flow);
                  },
                  rep, reference);
-        if (parallel) {
-          time_rep(par_s, bench,
-                   [](Schedule& schedule, const SequencingGraph& graph,
-                      const Allocation& alloc, const ChipSpec& chip,
-                      const Placement& placement, const WashModel& wash,
-                      const RouterOptions& router, StageTimes& stages,
-                      FlowStats* flow) {
-                     return route_until_consistent(schedule, graph, alloc,
-                                                   chip, placement, wash,
-                                                   router, stages, {}, flow);
-                   },
-                   rep, par);
-        }
       }
 
       const bool identical =
@@ -228,17 +179,6 @@ int main(int argc, char** argv) {
         all_equal = false;
         std::cerr << "MISMATCH: " << s.name
                   << ": incremental fixpoint differs from reference\n";
-      }
-      bool par_identical = true;
-      if (parallel) {
-        par_identical =
-            identical_schedules(par.schedule, reference.schedule) &&
-            identical_routing(par.routing, reference.routing);
-        if (!par_identical) {
-          all_equal = false;
-          std::cerr << "MISMATCH: " << s.name << ": parallel fixpoint ("
-                    << threads << " threads) differs from reference\n";
-        }
       }
 
       const double speedup = incremental.seconds > 0.0
@@ -252,33 +192,14 @@ int main(int argc, char** argv) {
           ++speedup_count_multi;
         }
       }
-      // Parallel speedup is measured against the serial incremental core
-      // (the flat baseline), not the reference loop — it isolates what the
-      // speculative commit protocol buys on top of path reuse.
-      const double par_speedup =
-          parallel && par.seconds > 0.0 ? incremental.seconds / par.seconds
-                                        : 0.0;
-      if (parallel && par_speedup > 0.0) {
-        par_log_speedup_sum += std::log(par_speedup);
-        ++par_speedup_count;
-        if (incremental.flow.rounds > 1) {
-          par_log_speedup_sum_multi += std::log(par_speedup);
-          ++par_speedup_count_multi;
-        }
-      }
       const FlowStats& flow = incremental.flow;
-      std::vector<std::string> row = {
-          s.name, std::to_string(s.schedule.transports.size()),
-          std::to_string(flow.rounds),
-          format_double(reference.seconds * 1e3, 3),
-          format_double(incremental.seconds * 1e3, 3),
-          format_double(speedup, 2), std::to_string(flow.transports_reused),
-          std::to_string(flow.transports_rerouted)};
-      if (parallel) {
-        row.push_back(format_double(par.seconds * 1e3, 3));
-        row.push_back(format_double(par_speedup, 2));
-      }
-      table.add_row(std::move(row));
+      table.add_row(
+          {s.name, std::to_string(s.schedule.transports.size()),
+           std::to_string(flow.rounds),
+           format_double(reference.seconds * 1e3, 3),
+           format_double(incremental.seconds * 1e3, 3),
+           format_double(speedup, 2), std::to_string(flow.transports_reused),
+           std::to_string(flow.transports_rerouted)});
 
       json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
            << "\", \"transports\": " << s.schedule.transports.size()
@@ -304,19 +225,7 @@ int main(int argc, char** argv) {
                           : 0.0)
              << "}";
       }
-      json << "]}";
-      if (parallel) {
-        const ParallelFlowStats& spec = par.flow.parallel;
-        json << ", \"parallel\": {\"threads\": " << threads
-             << ", \"seconds\": " << num(par.seconds)
-             << ", \"speedup_vs_flat\": " << num(par_speedup)
-             << ", \"identical\": " << (par_identical ? "true" : "false")
-             << ", \"speculated\": " << spec.speculated
-             << ", \"spec_committed\": " << spec.committed
-             << ", \"spec_mispredicted\": " << spec.mispredicted
-             << ", \"spec_fallbacks\": " << spec.fallback_searches << "}";
-      }
-      json << "}";
+      json << "]}}";
       first = false;
     }
   }
@@ -326,29 +235,9 @@ int main(int argc, char** argv) {
       speedup_count_multi
           ? std::exp(log_speedup_sum_multi / speedup_count_multi)
           : 0.0;
-  const double par_geomean =
-      par_speedup_count
-          ? std::exp(par_log_speedup_sum / par_speedup_count)
-          : 0.0;
-  const double par_geomean_multi =
-      par_speedup_count_multi
-          ? std::exp(par_log_speedup_sum_multi / par_speedup_count_multi)
-          : 0.0;
   json << "\n], \"geomean_speedup\": " << num(geomean)
        << ", \"geomean_speedup_multi_round\": " << num(geomean_multi)
-       << ", \"multi_round_configs\": " << speedup_count_multi;
-  if (parallel) {
-    // host_cores lets the gate distinguish "protocol regressed" from
-    // "bench host cannot express parallelism": on a box with fewer cores
-    // than threads, workers timeshare with the committer and the honest
-    // measurement is overhead, not speedup.
-    json << ", \"parallel\": {\"threads\": " << threads
-         << ", \"host_cores\": " << std::thread::hardware_concurrency()
-         << ", \"geomean_speedup\": " << num(par_geomean)
-         << ", \"geomean_speedup_multi_round\": " << num(par_geomean_multi)
-         << ", \"multi_round_configs\": " << par_speedup_count_multi << "}";
-  }
-  json << "}";
+       << ", \"multi_round_configs\": " << speedup_count_multi << "}";
 
   std::cout << "ROUTE-RETIME FIXPOINT: incremental core vs from-scratch "
                "reference\n(best of "
@@ -360,14 +249,6 @@ int main(int argc, char** argv) {
             << "\nGeomean speedup (multi-round flows):  "
             << format_double(geomean_multi, 3) << " over "
             << speedup_count_multi << " configs\n";
-  if (parallel) {
-    std::cout << "Parallel (" << threads
-              << " threads) geomean vs flat:        "
-              << format_double(par_geomean, 3)
-              << "\nParallel geomean (multi-round flows): "
-              << format_double(par_geomean_multi, 3) << " over "
-              << par_speedup_count_multi << " configs\n";
-  }
   std::cout << "\nJSON:\n" << json.str() << "\n";
   if (!json_out.empty()) {
     std::ofstream out(json_out);

@@ -165,26 +165,14 @@ Outcome run_request(const std::string& host, std::uint16_t port,
 }
 
 /// Blanks the run-telemetry of a result JSON — the wall-clock span
-/// (`"cpu_seconds": ...` up to, not including, `, "stats"`) and the
-/// routing-speculation counters (`, "speculated": ...` up to the end of
-/// the flow_stats object) — so two runs of the same deterministic job
-/// compare equal byte-for-byte. Both describe the run that produced the
-/// result, not the result: a server routing in parallel
-/// (`--route-threads`) reports nonzero speculation counters where the
-/// serial library reference reports zeros, while every synthesized field
-/// stays bit-identical.
+/// (`"cpu_seconds": ...` up to, not including, `, "stats"`) — so two runs
+/// of the same deterministic job compare equal byte-for-byte. It
+/// describes the run that produced the result, not the result.
 std::string strip_timing(std::string json) {
   for (std::size_t at = json.find(", \"cpu_seconds\":");
        at != std::string::npos;
        at = json.find(", \"cpu_seconds\":", at + 1)) {
     const std::size_t end = json.find(", \"stats\"", at);
-    if (end == std::string::npos) break;
-    json.erase(at, end - at);
-  }
-  for (std::size_t at = json.find(", \"speculated\":");
-       at != std::string::npos;
-       at = json.find(", \"speculated\":", at + 1)) {
-    const std::size_t end = json.find('}', at);
     if (end == std::string::npos) break;
     json.erase(at, end - at);
   }

@@ -4,8 +4,7 @@
 // Generates seeded random scenarios (src/testgen/generator.hpp) and runs
 // each through the differential oracle — scheduler, placer, router, and
 // route-retime fixpoint cores against their frozen reference twins, plus
-// the speculative parallel router protocol matrix, the schedule/routing
-// validators, and the discrete-event chip simulator. Any divergence is
+// the schedule/routing validators and the discrete-event chip simulator. Any divergence is
 // written to --repro-dir as a self-contained assay file; with --shrink it
 // is first reduced to a minimal repro by the deterministic greedy
 // shrinker. Shrunk repros are meant to be committed under tests/corpus/,
@@ -17,9 +16,6 @@
 //   --count N          scenarios to generate (default: 200)
 //   --time-budget SEC  stop early after SEC seconds (default: 0 = none)
 //   --max-ops N        generator operation ceiling (default: 18)
-//   --threads N        also run the parallel fixpoint on a real thread
-//                      pool with N workers (default: 0 = only the
-//                      deterministic inline executors)
 //   --shrink           shrink divergent scenarios before writing them
 //   --repro-dir DIR    where divergence repros go (default: repros)
 //   --corpus DIR       replay every *.assay under DIR before fuzzing
@@ -45,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
 #include "testgen/generator.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
@@ -60,7 +55,7 @@ using namespace fbmb;
 void print_usage() {
   std::cerr
       << "usage: fuzz_synth [--seed S] [--count N] [--time-budget SEC]\n"
-         "                  [--max-ops N] [--threads N] [--shrink]\n"
+         "                  [--max-ops N] [--shrink]\n"
          "                  [--repro-dir DIR] [--corpus DIR]\n"
          "                  [--inject schedule|route] [--json-out PATH]\n"
          "                  [--self-test] [--trace-out PATH]\n";
@@ -216,7 +211,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint64_t count = 200;
   double time_budget_s = 0.0;
-  int threads = 0;
   bool shrink = false;
   bool self_test = false;
   std::string repro_dir = "repros";
@@ -237,8 +231,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--max-ops") == 0 && i + 1 < argc) {
       gen_options.max_operations =
           static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(arg, "--shrink") == 0) {
       shrink = true;
     } else if (std::strcmp(arg, "--repro-dir") == 0 && i + 1 < argc) {
@@ -266,8 +258,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (gen_options.max_operations < gen_options.min_operations ||
-      threads < 0) {
+  if (gen_options.max_operations < gen_options.min_operations) {
     print_usage();
     return 2;
   }
@@ -275,17 +266,6 @@ int main(int argc, char** argv) {
     trace::TraceRecorder::instance().set_enabled(true);
     trace::TraceRecorder::instance().set_current_thread_name(
         "fuzz-synth-main");
-  }
-
-  fbmb::ThreadPool* pool = nullptr;
-  fbmb::ThreadPool real_pool(threads > 0 ? static_cast<std::size_t>(threads)
-                                         : 1);
-  if (threads > 0) {
-    pool = &real_pool;
-    oracle_options.route_executor =
-        [pool](std::vector<std::function<void()>>& tasks) {
-          fbmb::parallel_invoke(*pool, tasks);
-        };
   }
 
   if (self_test) {

@@ -37,10 +37,6 @@ void usage(const char* argv0) {
          "(default 2000)\n"
       << "  --max-stall-ms N     cap for the stall_ms test knob "
          "(default 0 = off)\n"
-      << "  --route-threads N    default routing concurrency per job "
-         "(default 1)\n"
-      << "  --max-route-threads N  cap for the request \"threads\" knob "
-         "(default 1 = serial)\n"
       << "  --cache-file PATH    load/spill the result cache here\n"
       << "  --trace-out PATH     enable tracing; write Chrome-trace JSON "
          "at shutdown\n";
@@ -88,13 +84,6 @@ int main(int argc, char** argv) {
         options.drain_budget_ms = static_cast<int>(value);
       } else if (arg == "--max-stall-ms" && value >= 0) {
         options.max_stall_ms = static_cast<int>(value);
-      } else if (arg == "--route-threads" && value >= 1) {
-        options.engine.route_threads = static_cast<std::size_t>(value);
-        if (static_cast<long>(options.max_route_threads) < value) {
-          options.max_route_threads = static_cast<int>(value);
-        }
-      } else if (arg == "--max-route-threads" && value >= 1) {
-        options.max_route_threads = static_cast<int>(value);
       } else {
         std::cerr << "bad option/value: " << arg << " " << argv[i] << "\n";
         usage(argv[0]);

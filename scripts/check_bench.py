@@ -24,16 +24,6 @@ and the geomean speedup over the multi-round flows — the configs where
 the reuse machinery actually has repeat work to remove — must meet
 --flow-geomean-multi (default 1.2).
 
-When the flow report was produced with --threads N it carries a
-"parallel" section (speculative parallel routing vs the serial
-incremental core). Determinism is gated unconditionally: every config's
-parallel.identical must be true. The performance gate —
---flow-parallel-geomean (default 1.3) over the multi-round configs —
-applies only when the bench host had at least as many cores as routing
-threads (parallel.host_cores >= parallel.threads); on a smaller host
-workers timeshare with the commit thread, so the honest measurement is
-overhead, not speedup, and the gate prints a skip notice instead.
-
 Also gates the synthesis-service load report written by service_load
 (--json-out) when given via --service FILE: every request must have been
 answered with an expected status, the warm payload must be bit-identical
@@ -137,13 +127,12 @@ def check_file(path, min_speedup, geomean_floor):
     return errors, speedups, geomean
 
 
-def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
+def check_flow(path, min_speedup, geomean_multi_floor):
     errors = []
     doc, benchmarks = load_benchmarks(path)
 
     reused = 0
     rerouted = 0
-    has_parallel = isinstance(doc.get("parallel"), dict)
     for i, entry in enumerate(benchmarks):
         if not isinstance(entry, dict):
             errors.append(f"{path}: benchmarks[{i}] is not an object")
@@ -155,21 +144,6 @@ def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
                 f"identical to the from-scratch loop "
                 f"(identical={entry.get('identical')!r})"
             )
-        if has_parallel:
-            par = entry.get("parallel")
-            if not isinstance(par, dict):
-                errors.append(
-                    f"{path}: {name}: missing per-config 'parallel' object"
-                )
-            elif par.get("identical") is not True:
-                # Hard determinism gate: the speculative parallel router
-                # must be bit-identical to the reference at any thread
-                # count, on any host.
-                errors.append(
-                    f"{path}: {name}: parallel fixpoint is not reported "
-                    f"identical to the reference "
-                    f"(parallel.identical={par.get('identical')!r})"
-                )
         speedup = entry.get("speedup")
         if not isinstance(speedup, (int, float)) or speedup <= 0:
             errors.append(f"{path}: {name}: missing or invalid speedup")
@@ -213,42 +187,6 @@ def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
             f"is below the {geomean_multi_floor:.2f}x floor"
         )
 
-    parallel_note = ""
-    if has_parallel:
-        par = doc["parallel"]
-        par_threads = par.get("threads", 0)
-        host_cores = par.get("host_cores", 0)
-        if not isinstance(par_threads, int) or not isinstance(host_cores, int):
-            errors.append(
-                f"{path}: parallel.threads / parallel.host_cores are not "
-                f"integers ({par_threads!r}, {host_cores!r})"
-            )
-            par_threads = host_cores = 0
-        par_geomean_multi = par.get("geomean_speedup_multi_round")
-        if not isinstance(par_geomean_multi, (int, float)):
-            errors.append(
-                f"{path}: parallel section is missing "
-                "geomean_speedup_multi_round"
-            )
-            par_geomean_multi = 0.0
-        if host_cores >= par_threads > 1:
-            if par_geomean_multi < parallel_geomean_floor:
-                errors.append(
-                    f"{path}: parallel multi-round geomean "
-                    f"{par_geomean_multi:.3f}x at {par_threads} threads "
-                    f"is below the {parallel_geomean_floor:.2f}x floor"
-                )
-            parallel_note = (
-                f", parallel({par_threads}t) multi-round geomean "
-                f"{par_geomean_multi:.2f}x"
-            )
-        else:
-            parallel_note = (
-                f", parallel({par_threads}t) perf gate skipped: bench "
-                f"host has {host_cores} core(s) "
-                f"(determinism still gated)"
-            )
-
     searches = reused + rerouted
     reuse = reused / searches if searches else 0.0
     print(
@@ -258,7 +196,6 @@ def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
         f"{geomean_multi if isinstance(geomean_multi, (int, float)) else 0.0:.2f}x "
         f"over {multi_count} configs, "
         f"{reused}/{searches} transports reused ({reuse:.0%})"
-        f"{parallel_note}"
     )
     return errors
 
@@ -716,14 +653,6 @@ def main(argv=None):
         "files (default: 1.2)",
     )
     parser.add_argument(
-        "--flow-parallel-geomean",
-        type=float,
-        default=1.3,
-        help="multi-round geomean floor for the parallel section of "
-        "--flow files (default: 1.3); enforced only when the bench "
-        "host had at least as many cores as routing threads",
-    )
-    parser.add_argument(
         "--service",
         action="append",
         default=[],
@@ -828,7 +757,6 @@ def main(argv=None):
                     path,
                     args.flow_min_speedup,
                     args.flow_geomean_multi,
-                    args.flow_parallel_geomean,
                 )
             )
         except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
-#include "route/parallel_router.hpp"
 #include "schedule/retiming.hpp"
 #include "trace/trace.hpp"
 #include "util/logging.hpp"
@@ -30,7 +28,6 @@ void fold_round(FlowStats* flow, const FlowRound& round) {
   flow->transports_rerouted += round.transports_rerouted;
   flow->transports_reused += round.transports_reused;
   flow->cells_evicted += round.cells_evicted;
-  flow->parallel += round.parallel;
   flow->round_details.push_back(round);
 }
 
@@ -48,22 +45,11 @@ RoutingResult route_until_consistent(
 
   TRACE_SPAN("stage", "fixpoint");
   const auto build_start = Clock::now();
-  // The parallel router is pure execution policy: it commits, provably,
-  // exactly what the serial sweep commits (see parallel_router.hpp), so
-  // choosing it cannot change the result — only the wall time.
-  const bool parallel = router_options.route_threads > 1 &&
-                        static_cast<bool>(router_options.route_executor);
-  std::unique_ptr<IncrementalRouter> router;
-  {
+  IncrementalRouter router = [&] {
     TRACE_SPAN("stage", "grid_build");
-    router = parallel
-                 ? std::make_unique<ParallelRouter>(chip, allocation,
-                                                    placement, wash_model,
-                                                    router_options)
-                 : std::make_unique<IncrementalRouter>(
-                       chip, allocation, placement, wash_model,
-                       router_options);
-  }
+    return IncrementalRouter(chip, allocation, placement, wash_model,
+                             router_options);
+  }();
   stages.grid_build += seconds_since(build_start);
 
   for (int round_index = 0;; ++round_index) {
@@ -74,8 +60,8 @@ RoutingResult route_until_consistent(
     RoutingResult routing;
     {
       TRACE_SPAN("stage", "route_round");
-      routing = router->route_round(schedule, &round, &reset_seconds,
-                                    checkpoint);
+      routing =
+          router.route_round(schedule, &round, &reset_seconds, checkpoint);
     }
     stages.route += seconds_since(route_start) - reset_seconds;
     stages.grid_build += reset_seconds;
@@ -110,8 +96,8 @@ RoutingResult route_until_consistent(
       RoutingResult final_routing;
       {
         TRACE_SPAN("stage", "route_round");
-        final_routing = router->route_round(schedule, &final_round,
-                                            &final_reset, checkpoint);
+        final_routing = router.route_round(schedule, &final_round,
+                                           &final_reset, checkpoint);
       }
       stages.route += seconds_since(final_start) - final_reset;
       stages.grid_build += final_reset;

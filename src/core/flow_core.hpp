@@ -66,12 +66,6 @@ struct FlowStats {
   std::uint64_t transports_rerouted = 0;  ///< tasks that ran the A* pipeline
   std::uint64_t transports_reused = 0;    ///< tasks replayed without search
   std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
-  /// Speculation outcomes summed over every parallel round (all zero for
-  /// serial routing). Telemetry-only, and — unlike the reuse counters
-  /// above — not deterministic: which positions the workers reach before
-  /// the committer depends on scheduling. The committed routing result
-  /// never does.
-  ParallelFlowStats parallel;
   /// Per-round breakdown, in execution order (concatenated across
   /// fixpoints). Not threaded through telemetry or the result cache; the
   /// flow_perf bench reports per-round re-route fractions from it.
@@ -82,7 +76,6 @@ struct FlowStats {
     transports_rerouted += o.transports_rerouted;
     transports_reused += o.transports_reused;
     cells_evicted += o.cells_evicted;
-    parallel += o.parallel;
     round_details.insert(round_details.end(), o.round_details.begin(),
                          o.round_details.end());
     return *this;
@@ -95,10 +88,7 @@ struct FlowStats {
 /// retime spans to `stages`. `checkpoint`, when set, is invoked with
 /// "route" before every transport inside every routing round
 /// (cancellation hook; latency is bounded by one search, not one round).
-/// `flow`, when set, receives the reuse accounting. With
-/// router_options.route_threads > 1 and a route_executor set, rounds run
-/// the speculative parallel protocol (route/parallel_router.hpp) — the
-/// result is bit-identical either way.
+/// `flow`, when set, receives the reuse accounting.
 RoutingResult route_until_consistent(
     Schedule& schedule, const SequencingGraph& graph,
     const Allocation& allocation, const ChipSpec& chip,

@@ -65,27 +65,10 @@ RoutingResult IncrementalRouter::route_round(const Schedule& schedule,
 
   const std::vector<int> order =
       route_transport_order(grid_, schedule, options_);
-  execute_round(schedule, order, all_dirty, result, round, checkpoint);
+  commit_sweep(schedule, order, all_dirty, result, round, checkpoint);
   prev_order_ = order;
   return result;
 }
-
-void IncrementalRouter::execute_round(const Schedule& schedule,
-                                      const std::vector<int>& order,
-                                      bool all_dirty, RoutingResult& result,
-                                      FlowRound* round,
-                                      const Checkpoint& checkpoint) {
-  commit_sweep(schedule, order, all_dirty, result, round, checkpoint);
-}
-
-bool IncrementalRouter::take_speculative(std::size_t /*position*/,
-                                         const RouteTask& /*task*/,
-                                         std::vector<Point>& /*path*/,
-                                         FlowRound* /*round*/) {
-  return false;
-}
-
-void IncrementalRouter::note_position(std::size_t /*frontier*/) {}
 
 void IncrementalRouter::commit_sweep(const Schedule& schedule,
                                      const std::vector<int>& order,
@@ -204,7 +187,6 @@ void IncrementalRouter::commit_sweep(const Schedule& schedule,
       rec.cache_dwell = task.cache_dwell;
       if (round) ++round->transports_reused;
       TRACE_INSTANT("route", "replay");
-      note_position(position + 1);
       continue;
     }
 
@@ -219,28 +201,16 @@ void IncrementalRouter::commit_sweep(const Schedule& schedule,
     std::vector<Point> path;
     double start = task.start;
     double delay = 0.0;
-    // A verified speculation hands over both the path and (through
-    // probe_buffer_) the read-set of the snapshot search that produced
-    // it — the same two artifacts a fresh search yields, so the commit
-    // tail below is shared.
-    const bool speculative = take_speculative(position, task, path, round);
-
     if (options_.conflict_aware) {
-      if (!speculative) {
-        TRACE_SPAN("route", "search");
-        // The log keeps only the final search's read-set: earlier
-        // attempts searched windows the retimed schedule will never ask
-        // for.
-        core_.set_probe_log(&probe_buffer_);
-        path = core_.find_path_postponed(start, delay);
-        core_.set_probe_log(nullptr);
-        if (delay > 0.0) ++result.conflict_postponements;
-      }
-      // Speculative: every probe of the snapshot search re-verified
-      // against the committed state, so the first attempt at this very
-      // start would have succeeded — delay stays 0 by construction.
+      TRACE_SPAN("route", "search");
+      // The log keeps only the final search's read-set: earlier attempts
+      // searched windows the retimed schedule will never ask for.
+      core_.set_probe_log(&probe_buffer_);
+      path = core_.find_path_postponed(start, delay);
+      core_.set_probe_log(nullptr);
+      if (delay > 0.0) ++result.conflict_postponements;
     } else {
-      if (!speculative) {
+      {
         TRACE_SPAN("route", "search");
         core_.set_probe_log(&probe_buffer_);
         probe_buffer_.clear();
@@ -250,8 +220,8 @@ void IncrementalRouter::commit_sweep(const Schedule& schedule,
           throw RoutingError("unroutable transport task (spatially blocked)");
         }
       }
-      // The search was purely spatial either way; postponement against
-      // the committed occupancy is always resolved here, serially.
+      // The search was purely spatial; postponement against the
+      // committed occupancy is resolved here.
       const double feasible = core_.earliest_feasible_start(path, start);
       if (feasible > start) {
         delay = feasible - start;
@@ -302,7 +272,6 @@ void IncrementalRouter::commit_sweep(const Schedule& schedule,
     result.total_wash_time += flush;
     result.delays[static_cast<std::size_t>(idx)] = delay;
     result.paths.push_back(std::move(routed));
-    note_position(position + 1);
   }
 }
 

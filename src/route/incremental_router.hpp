@@ -68,36 +68,11 @@
 
 namespace fbmb {
 
-/// Speculation accounting for one parallel routing round (all zero when
-/// the round ran the serial sweep). `speculated` counts worker searches
-/// actually performed against the round-start snapshot; each *dirty*
-/// task the committer processed lands in exactly one of the other three
-/// buckets: `committed` (speculative path re-verified and replayed),
-/// `mispredicted` (a speculative path existed but a probe failed against
-/// the committed state — re-searched inline), or `fallback_searches`
-/// (no usable speculation: the committer stole the position from the
-/// workers, or the speculative search found no path).
-struct ParallelFlowStats {
-  std::uint64_t speculated = 0;
-  std::uint64_t committed = 0;
-  std::uint64_t mispredicted = 0;
-  std::uint64_t fallback_searches = 0;
-
-  ParallelFlowStats& operator+=(const ParallelFlowStats& o) {
-    speculated += o.speculated;
-    committed += o.committed;
-    mispredicted += o.mispredicted;
-    fallback_searches += o.fallback_searches;
-    return *this;
-  }
-};
-
 /// Reuse accounting for one routing round of the fixpoint.
 struct FlowRound {
   std::uint64_t transports_rerouted = 0;  ///< dirty: ran the A* pipeline
   std::uint64_t transports_reused = 0;    ///< clean: replayed verbatim
   std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
-  ParallelFlowStats parallel;       ///< speculation outcome counters
 };
 
 class IncrementalRouter {
@@ -108,7 +83,6 @@ class IncrementalRouter {
                     const Placement& placement, const WashModel& wash_model,
                     const RouterOptions& options);
 
-  virtual ~IncrementalRouter() = default;
   IncrementalRouter(const IncrementalRouter&) = delete;
   IncrementalRouter& operator=(const IncrementalRouter&) = delete;
 
@@ -133,7 +107,7 @@ class IncrementalRouter {
                             double* reset_seconds = nullptr,
                             const Checkpoint& checkpoint = {});
 
- protected:
+ private:
   /// The committed contribution of one transport, as of the last round it
   /// was routed (searched) in.
   struct TaskRecord {
@@ -154,33 +128,9 @@ class IncrementalRouter {
     std::vector<RouterCore::Probe> footprint;
   };
 
-  /// Runs one round over `order`. The default implementation is the
-  /// serial commit sweep; ParallelRouter overrides it to wrap the same
-  /// sweep with speculation workers.
-  virtual void execute_round(const Schedule& schedule,
-                             const std::vector<int>& order, bool all_dirty,
-                             RoutingResult& result, FlowRound* round,
-                             const Checkpoint& checkpoint);
-
-  /// Offers a precomputed path for the dirty task at `position` (the
-  /// committer has already run begin_task for it on core_). Returns true
-  /// iff a speculative path was verified against the committed grid
-  /// state — then `path` holds it and probe_buffer_ holds the read-set
-  /// of the search that produced it (the caller records it as the task's
-  /// footprint, exactly as it would a fresh search's). The base router
-  /// never speculates.
-  virtual bool take_speculative(std::size_t position, const RouteTask& task,
-                                std::vector<Point>& path, FlowRound* round);
-
-  /// Committed-frontier hook: every task at a position < `frontier` has
-  /// been committed. ParallelRouter uses it to let workers skip
-  /// positions the committer has already passed.
-  virtual void note_position(std::size_t frontier);
-
   /// The serial commit-order sweep at the heart of every round: replays
-  /// clean tasks, searches (or takes a verified speculation for) dirty
-  /// ones, in the canonical route order. Exactly the from-scratch
-  /// semantics — see the header comment.
+  /// clean tasks, searches dirty ones, in the canonical route order.
+  /// Exactly the from-scratch semantics — see the header comment.
   void commit_sweep(const Schedule& schedule, const std::vector<int>& order,
                     bool all_dirty, RoutingResult& result, FlowRound* round,
                     const Checkpoint& checkpoint);
@@ -196,8 +146,7 @@ class IncrementalRouter {
   RouterCore core_;
   std::vector<TaskRecord> records_;
   /// Ports depend only on the (fixed) placement; computed once per
-  /// component instead of once per task per round. ParallelRouter
-  /// pre-warms the whole cache so workers can read it concurrently.
+  /// component instead of once per task per round.
   std::vector<std::vector<Point>> ports_cache_;
   std::vector<bool> ports_cached_;
   /// Scratch probe sink for dirty tasks (cleared per search attempt so

@@ -27,7 +27,6 @@
 
 #pragma once
 
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -68,19 +67,6 @@ struct RouterOptions {
   /// routing) pair is not consistent: every one measured fails
   /// simulate_chip.
   int max_fixpoint_rounds = 20;
-  /// Speculative routing workers per fixpoint round (<= 1 keeps the
-  /// serial sweep). Execution policy, not an input: the speculative
-  /// commit-order protocol (route/parallel_router.hpp) is bit-identical
-  /// to the serial sweep at every thread count, so this field — like
-  /// route_executor below — is deliberately not fingerprinted by the
-  /// runtime result cache.
-  int route_threads = 1;
-  /// Runs the committer + speculation-worker task set of one parallel
-  /// routing round; the runtime wires this to ThreadPool::parallel_invoke
-  /// so routing shares the engine's pool instead of spawning threads.
-  /// Empty (the default) keeps routing serial regardless of
-  /// route_threads.
-  std::function<void(std::vector<std::function<void()>>&)> route_executor;
 };
 
 class RoutingError : public std::runtime_error {

@@ -150,10 +150,6 @@ void hash_options(InputHasher& h, const SynthesisOptions& options) {
   h.f64(options.router.postpone_step);
   h.i64(options.router.max_postpone_steps);
   h.i64(options.router.max_fixpoint_rounds);
-  // router.route_threads / route_executor are execution policy, not
-  // inputs: the speculative parallel rounds commit bit-identically to
-  // the serial sweep, so a result computed at any thread count is valid
-  // for every other.
 
   h.u64(static_cast<std::uint64_t>(options.placement));
   // options.checkpoint and options.trace_id are execution policy, not

@@ -557,12 +557,6 @@ std::string synthesis_result_to_json(const SynthesisResult& result) {
      << result.flow_stats.transports_rerouted
      << ", \"transports_reused\": " << result.flow_stats.transports_reused
      << ", \"cells_evicted\": " << result.flow_stats.cells_evicted
-     << ", \"speculated\": " << result.flow_stats.parallel.speculated
-     << ", \"spec_committed\": " << result.flow_stats.parallel.committed
-     << ", \"spec_mispredicted\": "
-     << result.flow_stats.parallel.mispredicted
-     << ", \"spec_fallbacks\": "
-     << result.flow_stats.parallel.fallback_searches
      << "}, \"routing\": ";
   write_routing(os, result.routing);
   os << "}";
@@ -651,7 +645,8 @@ std::optional<SynthesisResult> synthesis_result_from_value(
   }
   // flow_stats is likewise optional for spills written before the
   // incremental fixpoint existed (counters default to zero; per-round
-  // details are never spilled).
+  // details are never spilled). Keys it no longer reads, such as the
+  // four routing-thread counters older spills carry, are ignored.
   if (const jsonio::Value* fs = root.find("flow_stats");
       fs && fs->kind == jsonio::Value::Kind::kObject) {
     auto u64 = [&](const char* key) {
@@ -661,17 +656,6 @@ std::optional<SynthesisResult> synthesis_result_from_value(
     result.flow_stats.transports_rerouted = u64("transports_rerouted");
     result.flow_stats.transports_reused = u64("transports_reused");
     result.flow_stats.cells_evicted = u64("cells_evicted");
-    // The speculation counters are a later addition and therefore
-    // optional per key: a pre-parallel spill loads with them at zero.
-    auto opt_u64 = [&](const char* key) {
-      bool present = true;
-      const double v = get_num(*fs, key, present);
-      return present ? static_cast<std::uint64_t>(v) : std::uint64_t{0};
-    };
-    result.flow_stats.parallel.speculated = opt_u64("speculated");
-    result.flow_stats.parallel.committed = opt_u64("spec_committed");
-    result.flow_stats.parallel.mispredicted = opt_u64("spec_mispredicted");
-    result.flow_stats.parallel.fallback_searches = opt_u64("spec_fallbacks");
   }
   const jsonio::Value* schedule = root.find("schedule");
   const jsonio::Value* placement = root.find("placement");

@@ -121,20 +121,6 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
       if (inner) inner(stage);
     };
   }
-  if (options.router.route_threads <= 1 && options_.route_threads > 1) {
-    options.router.route_threads = static_cast<int>(options_.route_threads);
-  }
-  if (options.router.route_threads > 1 && !options.router.route_executor) {
-    // Route speculation workers share the engine pool; parallel_invoke's
-    // caller participation keeps a saturated pool deadlock-free (the
-    // committer then steals every position and the round degrades to the
-    // serial sweep).
-    options.router.route_executor =
-        [this, trace_id](std::vector<std::function<void()>>& tasks) {
-          wrap_tasks_with_trace_id(tasks, trace_id);
-          parallel_invoke(pool_, tasks);
-        };
-  }
   if (options_.parallel_restarts) {
     // Restart tasks fork deterministic sub-seeds and fill indexed slots,
     // so fanning them out over the shared pool is bit-identical to the
@@ -196,7 +182,6 @@ std::string SynthesisEngine::telemetry_json(
      << ", \"cache_size\": " << cache_.size()
      << ", \"parallel_restarts\": "
      << (options_.parallel_restarts ? "true" : "false")
-     << ", \"route_threads\": " << options_.route_threads
      << ", \"max_queue_depth\": " << pool_.max_queue_depth()
      << "},\n  \"totals\": " << Telemetry::to_json(telemetry_.snapshot())
      << ",\n  \"jobs\": [";
@@ -233,15 +218,7 @@ std::string SynthesisEngine::telemetry_json(
        << ", \"transports_reused\": "
        << outcome.result.flow_stats.transports_reused
        << ", \"cells_evicted\": "
-       << outcome.result.flow_stats.cells_evicted
-       << ", \"speculated\": "
-       << outcome.result.flow_stats.parallel.speculated
-       << ", \"spec_committed\": "
-       << outcome.result.flow_stats.parallel.committed
-       << ", \"spec_mispredicted\": "
-       << outcome.result.flow_stats.parallel.mispredicted
-       << ", \"spec_fallbacks\": "
-       << outcome.result.flow_stats.parallel.fallback_searches << "}"
+       << outcome.result.flow_stats.cells_evicted << "}"
        << ", \"placement\": {\"proposals\": "
        << outcome.result.place_stats.proposals
        << ", \"accepts\": " << outcome.result.place_stats.accepts

@@ -65,12 +65,6 @@ struct SynthesisEngineOptions {
   /// Off, restarts run serially inside the job (results are identical
   /// either way).
   bool parallel_restarts = true;
-  /// Default routing concurrency per job (committer + workers), applied
-  /// when a job does not set options.router.route_threads itself; <= 1
-  /// keeps routing serial. Like parallel_restarts this is execution
-  /// policy: the speculative commit-order protocol is bit-identical to
-  /// the serial sweep, so it does not enter the cache fingerprint.
-  std::size_t route_threads = 1;
 };
 
 class SynthesisEngine {

@@ -39,10 +39,6 @@ void Telemetry::record_flow_stats(const FlowStats& stats) {
   flow_transports_rerouted_.fetch_add(stats.transports_rerouted);
   flow_transports_reused_.fetch_add(stats.transports_reused);
   flow_cells_evicted_.fetch_add(stats.cells_evicted);
-  flow_speculated_.fetch_add(stats.parallel.speculated);
-  flow_spec_committed_.fetch_add(stats.parallel.committed);
-  flow_spec_mispredicted_.fetch_add(stats.parallel.mispredicted);
-  flow_spec_fallbacks_.fetch_add(stats.parallel.fallback_searches);
 }
 
 void Telemetry::record_place_stats(const PlaceStats& stats) {
@@ -96,10 +92,6 @@ Telemetry::Snapshot Telemetry::snapshot() const {
   s.flow.transports_rerouted = flow_transports_rerouted_.load();
   s.flow.transports_reused = flow_transports_reused_.load();
   s.flow.cells_evicted = flow_cells_evicted_.load();
-  s.flow.parallel.speculated = flow_speculated_.load();
-  s.flow.parallel.committed = flow_spec_committed_.load();
-  s.flow.parallel.mispredicted = flow_spec_mispredicted_.load();
-  s.flow.parallel.fallback_searches = flow_spec_fallbacks_.load();
   s.placement.proposals = place_proposals_.load();
   s.placement.accepts = place_accepts_.load();
   s.placement.delta_evals = place_delta_evals_.load();
@@ -140,10 +132,6 @@ void Telemetry::reset() {
   flow_transports_rerouted_.store(0);
   flow_transports_reused_.store(0);
   flow_cells_evicted_.store(0);
-  flow_speculated_.store(0);
-  flow_spec_committed_.store(0);
-  flow_spec_mispredicted_.store(0);
-  flow_spec_fallbacks_.store(0);
   place_proposals_.store(0);
   place_accepts_.store(0);
   place_delta_evals_.store(0);
@@ -183,10 +171,6 @@ std::string Telemetry::to_json(const Snapshot& s) {
      << ", \"transports_rerouted\": " << s.flow.transports_rerouted
      << ", \"transports_reused\": " << s.flow.transports_reused
      << ", \"cells_evicted\": " << s.flow.cells_evicted
-     << ", \"speculated\": " << s.flow.parallel.speculated
-     << ", \"spec_committed\": " << s.flow.parallel.committed
-     << ", \"spec_mispredicted\": " << s.flow.parallel.mispredicted
-     << ", \"spec_fallbacks\": " << s.flow.parallel.fallback_searches
      << "}, \"placement\": {\"proposals\": " << s.placement.proposals
      << ", \"accepts\": " << s.placement.accepts
      << ", \"delta_evals\": " << s.placement.delta_evals

@@ -55,9 +55,8 @@ class Telemetry {
     std::uint64_t max_queue_depth = 0;
     double synthesis_seconds = 0.0;  ///< summed job wall time (cache misses)
     RouteStats routing;              ///< summed router counters (cache misses)
-    /// Summed route–retime fixpoint reuse and speculation counters (cache
-    /// misses). Only the aggregate counters are tracked; per-round details
-    /// stay per-job.
+    /// Summed route–retime fixpoint reuse counters (cache misses). Only
+    /// the aggregate counters are tracked; per-round details stay per-job.
     FlowStats flow;
     PlaceStats placement;            ///< summed placer counters (cache misses)
     SchedStats scheduling;           ///< summed scheduler counters (cache misses)
@@ -140,10 +139,6 @@ class Telemetry {
   std::atomic<std::uint64_t> flow_transports_rerouted_{0};
   std::atomic<std::uint64_t> flow_transports_reused_{0};
   std::atomic<std::uint64_t> flow_cells_evicted_{0};
-  std::atomic<std::uint64_t> flow_speculated_{0};
-  std::atomic<std::uint64_t> flow_spec_committed_{0};
-  std::atomic<std::uint64_t> flow_spec_mispredicted_{0};
-  std::atomic<std::uint64_t> flow_spec_fallbacks_{0};
   std::atomic<std::uint64_t> place_proposals_{0};
   std::atomic<std::uint64_t> place_accepts_{0};
   std::atomic<std::uint64_t> place_delta_evals_{0};

@@ -172,16 +172,6 @@ std::optional<SynthesizeRequest> parse_synthesize_request(
     }
     req.stall_ms = static_cast<int>(value);
   }
-  if (!read_number(*root, "threads", value, present, error)) {
-    return std::nullopt;
-  }
-  if (present) {
-    if (value < 1.0 || value > 64.0) {
-      error = "\"threads\" must be in [1, 64]";
-      return std::nullopt;
-    }
-    req.threads = static_cast<int>(value);
-  }
   if (const jsonio::Value* trace = root->find("trace")) {
     if (trace->kind != jsonio::Value::Kind::kBool) {
       error = "\"trace\" must be a boolean";

@@ -4,9 +4,8 @@
 // "PCR", any Table-I or extended name, case-insensitive) or by inline
 // assay text ("assay": the graph/assay_parser format, which must carry an
 // `allocate` line), plus a flow preset, seed/restart overrides, an
-// optional per-request deadline, an optional routing-concurrency request
-// ("threads", clamped by the server), and an optional server-side stall
-// used only by load tests. Parsing uses the hardened jsonio parser — the body
+// optional per-request deadline, and an optional server-side stall used
+// only by load tests. Parsing uses the hardened jsonio parser — the body
 // is untrusted bytes — and returns a human-readable error instead of
 // throwing.
 //
@@ -27,11 +26,6 @@ struct SynthesizeRequest {
   SynthesisJob job;
   double timeout_ms = 0.0;  ///< 0 = no deadline
   int stall_ms = 0;  ///< server-side artificial latency (load tests only)
-  /// Requested routing concurrency (1..64; 0 = server default). The
-  /// server clamps it to ServerOptions::max_route_threads before the job
-  /// runs — results are bit-identical at any value, so the clamp only
-  /// affects latency.
-  int threads = 0;
   /// Force tracing on for this request and return its events inline
   /// (bounded Chrome-trace JSON under the response "trace" key).
   bool trace = false;

@@ -128,14 +128,7 @@ void SynthServer::shutdown() {
 std::string SynthServer::metrics_json() const {
   std::string out = "{\"service\": ";
   out += metrics_.to_json(engine_.pool().pending(), draining_.load());
-  // The routing-concurrency policy in force: the per-job default and the
-  // cap applied to the request "threads" knob. The speculation counters
-  // themselves live in the engine telemetry's "flow" object.
-  out += ", \"routing\": {\"route_threads\": ";
-  out += std::to_string(options_.engine.route_threads);
-  out += ", \"max_route_threads\": ";
-  out += std::to_string(options_.max_route_threads);
-  out += "}, \"engine\": ";
+  out += ", \"engine\": ";
   out += Telemetry::to_json(engine_.telemetry().snapshot());
   out += "}";
   return out;
@@ -299,15 +292,6 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
 
   const int stall_ms =
       std::min(parsed->stall_ms, options_.max_stall_ms);
-  // Routing concurrency: the request's ask (or, absent one, the engine
-  // default) bounded by server policy. Purely an execution-policy clamp;
-  // the response bytes cannot depend on it.
-  const int route_threads =
-      std::min(parsed->threads > 0
-                   ? parsed->threads
-                   : static_cast<int>(options_.engine.route_threads),
-               options_.max_route_threads);
-  parsed->job.options.router.route_threads = std::max(1, route_threads);
 
   auto token = std::make_shared<CancellationToken>();
   if (parsed->timeout_ms > 0.0) {

@@ -58,12 +58,6 @@ struct ServerOptions {
   /// Upper bound for the request "stall_ms" load-testing knob; 0 (the
   /// default) disables it entirely.
   int max_stall_ms = 0;
-  /// Upper bound for the per-request "threads" routing-concurrency knob.
-  /// A request asking for more is clamped (never rejected — the result
-  /// is bit-identical at any thread count); 1 (the default) pins every
-  /// request to serial routing, and requests without the knob fall back
-  /// to the engine default (engine.route_threads), likewise clamped.
-  int max_route_threads = 1;
   /// When non-empty: the result cache is loaded from here on start() and
   /// spilled back on shutdown().
   std::string cache_spill_path;

@@ -107,20 +107,6 @@ bool inject_route_fault(RoutingResult& routing, double postpone_step) {
   return true;
 }
 
-/// Workers-first inline executor: runs every speculation worker to
-/// completion before the committer starts, so each dirty task takes the
-/// probe-verify path (commit or mispredict), never the steal path.
-void workers_first(std::vector<std::function<void()>>& tasks) {
-  for (std::size_t i = 1; i < tasks.size(); ++i) tasks[i]();
-  if (!tasks.empty()) tasks[0]();
-}
-
-/// Committer-first inline executor: the committer steals every position
-/// (serial fallback); late workers see the exhausted cursor and exit.
-void committer_first(std::vector<std::function<void()>>& tasks) {
-  for (auto& task : tasks) task();
-}
-
 struct FlowRun {
   Schedule schedule;
   RoutingResult routing;
@@ -252,7 +238,7 @@ OracleReport run_differential_oracle(const Scenario& scenario,
     return report;
   }
 
-  // ---- Pair 4: route-retime fixpoint, serial. ----
+  // ---- Pair 4: route-retime fixpoint. ----
   auto core_flow = capture([&] {
     FlowRun run;
     run.schedule = schedule;
@@ -288,49 +274,6 @@ OracleReport run_differential_oracle(const Scenario& scenario,
   for (const double delay : core_flow.value->routing.delays) {
     if (delay > 0.0) report.fixpoint_converged = false;
   }
-
-  // ---- Parallel thread matrix against the serial fixpoint. ----
-  using Executor = std::function<void(std::vector<std::function<void()>>&)>;
-  const auto run_parallel = [&](int threads, const Executor& executor) {
-    return capture([&] {
-      FlowRun run;
-      run.schedule = schedule;
-      RouterOptions parallel_options = router_options;
-      parallel_options.route_threads = threads;
-      parallel_options.route_executor = executor;
-      StageTimes stages;
-      run.routing = route_until_consistent(
-          run.schedule, scenario.graph, allocation, chip, placement,
-          scenario.wash, parallel_options, stages, {}, &run.flow);
-      return run;
-    });
-  };
-  const auto check_parallel = [&](int threads, const Executor& executor,
-                                  const std::string& label) {
-    auto par = run_parallel(threads, executor);
-    if (!par.value) {
-      if (core_flow.value) {
-        report.fail("parallel fixpoint (" + label + "): failed ('" +
-                    par.error + "') but serial succeeded");
-      }
-      return;
-    }
-    if (!identical_schedules(par.value->schedule,
-                             core_flow.value->schedule) ||
-        !identical_routing(par.value->routing, core_flow.value->routing)) {
-      report.fail("parallel fixpoint (" + label +
-                  "): diverges from the serial result");
-    }
-  };
-  for (const int threads : options.thread_matrix) {
-    const std::string t = std::to_string(threads);
-    check_parallel(threads, workers_first, t + "t/workers-first");
-    check_parallel(threads, committer_first, t + "t/committer-first");
-    if (options.route_executor) {
-      check_parallel(threads, options.route_executor, t + "t/pool");
-    }
-  }
-  if (!report.ok) return report;
 
   // ---- Invariant layers on the final (retimed) result. ----
   const Schedule& final_schedule = core_flow.value->schedule;

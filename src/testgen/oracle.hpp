@@ -5,11 +5,10 @@
 // placer (place_components vs place_components_reference), BA's placer
 // (place_components_baseline vs place_components_baseline_reference), router
 // (route_transports vs route_transports_reference), and the route-retime
-// fixpoint (route_until_consistent vs route_until_consistent_reference,
-// serial and under the speculative parallel protocol) — asserting
-// bit-identical results at every pair, then cross-checks the winning
-// result against the independent invariant layers: the schedule and
-// routing validators and the discrete-event chip simulator.
+// fixpoint (route_until_consistent vs route_until_consistent_reference) —
+// asserting bit-identical results at every pair, then cross-checks the
+// winning result against the independent invariant layers: the schedule
+// and routing validators and the discrete-event chip simulator.
 //
 // Exceptions are part of the contract: when one side of a pair throws
 // (infeasible allocation, unroutable chip) the other side must throw the
@@ -27,7 +26,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,15 +46,6 @@ enum class FaultInjection {
 };
 
 struct OracleOptions {
-  /// Thread counts for the speculative parallel fixpoint matrix. Each runs
-  /// once under a workers-first inline executor (every task takes the
-  /// speculation-verify path) and once under a committer-first inline
-  /// executor (every task takes the steal/serial-fallback path), pinning
-  /// both protocol extremes deterministically on any host.
-  std::vector<int> thread_matrix = {2, 4};
-  /// Optional real executor (e.g. ThreadPool::parallel_invoke) added to
-  /// the matrix for genuinely concurrent interleavings.
-  std::function<void(std::vector<std::function<void()>>&)> route_executor;
   /// Run the discrete-event chip simulator on the final result.
   bool run_simulator = true;
   FaultInjection inject = FaultInjection::kNone;

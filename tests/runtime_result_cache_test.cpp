@@ -286,6 +286,66 @@ TEST(ResultIo, PlaceStatsRoundTripAndBackwardCompat) {
   EXPECT_EQ(old->place_stats.occupancy_probes, 0u);
 }
 
+TEST(ResultIo, FlowStatsRoundTripAndBackwardCompat) {
+  SynthesisResult result = tiny_result(42.0);
+  result.flow_stats.rounds = 3;
+  result.flow_stats.transports_rerouted = 50;
+  result.flow_stats.transports_reused = 31;
+  result.flow_stats.cells_evicted = 412;
+  result.place_stats.proposals = 13200;
+  result.sched_stats.case1_bindings = 39;
+
+  const std::string json = synthesis_result_to_json(result);
+  EXPECT_NE(json.find("\"flow_stats\""), std::string::npos);
+  const auto back = synthesis_result_from_json(json);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->flow_stats.rounds, 3u);
+  EXPECT_EQ(back->flow_stats.transports_rerouted, 50u);
+  EXPECT_EQ(back->flow_stats.transports_reused, 31u);
+  EXPECT_EQ(back->flow_stats.cells_evicted, 412u);
+
+  // Spills written while the parallel router existed carry four more
+  // flow_stats keys, which the reader must skip without disturbing any
+  // other counter.
+  std::string with_legacy_keys = json;
+  const std::size_t flow_at = with_legacy_keys.find("\"flow_stats\"");
+  ASSERT_NE(flow_at, std::string::npos);
+  const std::size_t flow_end = with_legacy_keys.find("}", flow_at);
+  ASSERT_NE(flow_end, std::string::npos);
+  with_legacy_keys.insert(flow_end,
+                          ", \"speculated\": 29, \"spec_committed\": 11, "
+                          "\"spec_mispredicted\": 4, \"spec_fallbacks\": 2");
+  const auto legacy = synthesis_result_from_json(with_legacy_keys);
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(legacy->completion_time, 42.0);
+  EXPECT_EQ(legacy->flow_stats.rounds, 3u);
+  EXPECT_EQ(legacy->flow_stats.transports_rerouted, 50u);
+  EXPECT_EQ(legacy->flow_stats.transports_reused, 31u);
+  EXPECT_EQ(legacy->flow_stats.cells_evicted, 412u);
+  EXPECT_EQ(legacy->place_stats.proposals, 13200u);
+  EXPECT_EQ(legacy->sched_stats.case1_bindings, 39u);
+  EXPECT_EQ(synthesis_result_to_json(*legacy), json);
+
+  // Spills written before the incremental fixpoint existed have no
+  // "flow_stats" key; they must still load, with the counters at zero.
+  std::string without = synthesis_result_to_json(tiny_result(7.0));
+  const std::size_t at = without.find("\"flow_stats\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = without.find("}", at);
+  ASSERT_NE(end, std::string::npos);
+  // Remove `"flow_stats": {...}, ` — the key through its closing brace
+  // plus the trailing comma-space separator.
+  without.erase(at, end - at + 3);
+  ASSERT_EQ(without.find("flow_stats"), std::string::npos);
+  const auto old = synthesis_result_from_json(without);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->completion_time, 7.0);
+  EXPECT_EQ(old->flow_stats.rounds, 0u);
+  EXPECT_EQ(old->flow_stats.transports_rerouted, 0u);
+  EXPECT_EQ(old->flow_stats.transports_reused, 0u);
+  EXPECT_EQ(old->flow_stats.cells_evicted, 0u);
+}
+
 TEST(ResultCache, LoadRejectsMalformedFiles) {
   const std::string path = ::testing::TempDir() + "msynth_cache_bad.json";
   {

@@ -334,76 +334,35 @@ TEST(SynthServer, KeepAliveServesSequentialRequests) {
   }
 }
 
-TEST(SynthServer, ThreadsKnobIsValidatedClampedAndNotIdentity) {
-  ServerOptions options = test_options();
-  options.max_route_threads = 4;
-  SynthServer server(options);
+/// "threads" is no longer part of the protocol, and the parser ignores
+/// keys it does not know: a request that still sends it — with any value,
+/// including 0 — gets the answer a plain request gets, from the same
+/// cache entry.
+TEST(SynthServer, LegacyThreadsKeyIsIgnored) {
+  SynthServer server(test_options());
   server.start();
 
-  // Out-of-range or non-numeric "threads" is a 400, not a silent clamp —
-  // the [1, 64] protocol bound is the contract; the server-side
-  // max_route_threads clamp only applies inside it.
-  for (const std::string body :
-       {R"({"benchmark": "PCR", "threads": 0})",
-        R"({"benchmark": "PCR", "threads": 65})",
-        R"({"benchmark": "PCR", "threads": "four"})"}) {
-    const auto bad = roundtrip(server.port(), "POST", "/synthesize", body);
-    ASSERT_TRUE(bad.has_value()) << body;
-    EXPECT_EQ(bad->status, 400) << body;
-    EXPECT_NE(bad->body.find("threads"), std::string::npos) << body;
-  }
-
-  // Routing concurrency is execution policy, not identity: a request
-  // asking for 4 threads (and one asking for more than the server cap,
-  // which is clamped, never rejected) must hit the cache entry a serial
-  // request warmed, with the same fingerprint.
-  const auto serial = roundtrip(server.port(), "POST", "/synthesize",
-                                R"({"benchmark": "PCR"})");
-  ASSERT_TRUE(serial.has_value());
-  ASSERT_EQ(serial->status, 200);
-  const auto serial_root = jsonio::parse(serial->body);
-  ASSERT_TRUE(serial_root.has_value());
-  EXPECT_FALSE(serial_root->find("cache_hit")->b);
+  const auto plain = roundtrip(server.port(), "POST", "/synthesize",
+                               R"({"benchmark": "PCR"})");
+  ASSERT_TRUE(plain.has_value());
+  ASSERT_EQ(plain->status, 200);
+  const auto plain_root = jsonio::parse(plain->body);
+  ASSERT_TRUE(plain_root.has_value());
+  EXPECT_FALSE(plain_root->find("cache_hit")->b);
 
   for (const std::string body :
        {R"({"benchmark": "PCR", "threads": 4})",
-        R"({"benchmark": "PCR", "threads": 64})"}) {
-    const auto parallel =
-        roundtrip(server.port(), "POST", "/synthesize", body);
-    ASSERT_TRUE(parallel.has_value()) << body;
-    ASSERT_EQ(parallel->status, 200) << body;
-    const auto root = jsonio::parse(parallel->body);
+        R"({"benchmark": "PCR", "threads": 0})"}) {
+    const auto legacy = roundtrip(server.port(), "POST", "/synthesize", body);
+    ASSERT_TRUE(legacy.has_value()) << body;
+    ASSERT_EQ(legacy->status, 200) << body;
+    const auto root = jsonio::parse(legacy->body);
     ASSERT_TRUE(root.has_value()) << body;
     EXPECT_TRUE(root->find("cache_hit")->b) << body;
     EXPECT_EQ(root->find("fingerprint")->str,
-              serial_root->find("fingerprint")->str)
-        << body;
-    const std::string par_doc = strip_timing(parallel->body);
-    const std::string ser_doc = strip_timing(serial->body);
-    EXPECT_EQ(par_doc.substr(par_doc.find("\"result\"")),
-              ser_doc.substr(ser_doc.find("\"result\"")))
+              plain_root->find("fingerprint")->str)
         << body;
   }
-
-  // The /metrics document carries the routing-concurrency policy in
-  // force and the speculation counters.
-  const auto metrics = roundtrip(server.port(), "GET", "/metrics");
-  ASSERT_TRUE(metrics.has_value());
-  const auto root = jsonio::parse(metrics->body);
-  ASSERT_TRUE(root.has_value());
-  const jsonio::Value* routing = root->find("routing");
-  ASSERT_NE(routing, nullptr);
-  ASSERT_NE(routing->find("route_threads"), nullptr);
-  ASSERT_NE(routing->find("max_route_threads"), nullptr);
-  EXPECT_EQ(routing->find("max_route_threads")->num, 4.0);
-  const jsonio::Value* engine = root->find("engine");
-  ASSERT_NE(engine, nullptr);
-  const jsonio::Value* flow = engine->find("flow");
-  ASSERT_NE(flow, nullptr);
-  EXPECT_NE(flow->find("speculated"), nullptr);
-  EXPECT_NE(flow->find("spec_committed"), nullptr);
-  EXPECT_NE(flow->find("spec_mispredicted"), nullptr);
-  EXPECT_NE(flow->find("spec_fallbacks"), nullptr);
 }
 
 /// The opt-in per-request trace: "trace": true must return the request's

@@ -14,16 +14,15 @@
 //     carries the documented ph/ts/dur/args schema,
 //   * disabled tracing emits nothing and costs no events,
 //   * trace ids nest via TraceIdScope and stamp every event, and
-//   * the flow instrumentation: one traced route_until_consistent run,
-//     forced down the speculation verify path, yields stage spans, one
-//     span per routing round, and at least one spec_commit instant — all
-//     sharing the ambient trace id (the ISSUE acceptance shape).
+//   * the flow instrumentation: one traced multi-round
+//     route_until_consistent run yields stage spans, one span per routing
+//     round, and one replay or reroute instant per transport per round —
+//     all sharing the ambient trace id.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -286,10 +285,11 @@ TEST(TraceRecorder, ForceCountOverridesDisabled) {
   recorder().clear();
 }
 
-/// The acceptance shape: a traced multi-round fixpoint, forced down the
-/// speculation verify path, produces nested stage spans, one route_round
-/// span per round, and >= 1 spec_commit — all under one trace id.
-TEST(TraceFlow, TracedFixpointYieldsStagesRoundsAndCommits) {
+/// A traced multi-round fixpoint produces nested stage spans, one
+/// route_round span per round, and one replay instant per reused
+/// transport and one reroute instant per re-routed one — all under one
+/// trace id.
+TEST(TraceFlow, TracedFixpointYieldsStagesRoundsAndReplays) {
   TraceEnv env;
   const std::uint64_t id = recorder().next_trace_id();
   trace::TraceIdScope scope(id);
@@ -309,19 +309,12 @@ TEST(TraceFlow, TracedFixpointYieldsStagesRoundsAndCommits) {
   const Placement placement =
       place_components(alloc, schedule, bench.wash, chip, placer);
 
-  RouterOptions router;
-  router.route_threads = 2;
-  // Workers run before the committer: every position is speculated, so
-  // each dirty transport verifies (commit or mispredict) — never steals.
-  router.route_executor = [](std::vector<std::function<void()>>& tasks) {
-    for (std::size_t i = 1; i < tasks.size(); ++i) tasks[i]();
-    tasks[0]();
-  };
   StageTimes stages;
   FlowStats flow;
   route_until_consistent(schedule, bench.graph, alloc, chip, placement,
-                         bench.wash, router, stages, {}, &flow);
-  ASSERT_GT(flow.parallel.committed, 0u);
+                         bench.wash, RouterOptions{}, stages, {}, &flow);
+  ASSERT_GT(flow.rounds, 1u);
+  ASSERT_GT(flow.transports_reused, 0u);
 
   const trace::TraceSnapshot snap = recorder().snapshot();
   const auto count_with_id = [&](const std::string& name) {
@@ -336,10 +329,10 @@ TEST(TraceFlow, TracedFixpointYieldsStagesRoundsAndCommits) {
   EXPECT_EQ(count_with_id("route_round"),
             static_cast<std::size_t>(flow.rounds));
   EXPECT_GE(count_with_id("retime"), 1u);
-  EXPECT_EQ(count_with_id("spec_commit"),
-            static_cast<std::size_t>(flow.parallel.committed));
-  EXPECT_GE(count_with_id("speculate"),
-            static_cast<std::size_t>(flow.parallel.speculated));
+  EXPECT_EQ(count_with_id("replay"),
+            static_cast<std::size_t>(flow.transports_reused));
+  EXPECT_EQ(count_with_id("reroute"),
+            static_cast<std::size_t>(flow.transports_rerouted));
 }
 
 }  // namespace
