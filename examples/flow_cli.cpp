@@ -1,6 +1,8 @@
 // Command-line front end for the synthesis flows.
 //
-//   flow_cli --benchmark <PCR|IVD|CPA|Synthetic1..4|PaperExample>
+//   flow_cli --benchmark <name>  any extended-suite name (PCR, IVD, CPA,
+//                                Synthetic1..4, ProteinSplit2/3,
+//                                GlucosePanel) or PaperExample, in any case
 //   flow_cli --assay <file.assay> [--alloc M,H,F,D]
 //   options: --flow ours|ba|both (default both)
 //            --seed <n>          SA placement seed (default 1)
@@ -27,23 +29,14 @@ namespace {
 
 using namespace fbmb;
 
-std::optional<Benchmark> benchmark_by_name(const std::string& name) {
-  if (name == "PCR") return make_pcr();
-  if (name == "IVD") return make_ivd();
-  if (name == "CPA") return make_cpa();
-  if (name == "PaperExample") return make_paper_example();
-  if (name.starts_with("Synthetic") && name.size() == 10) {
-    const int index = name[9] - '0';
-    if (index >= 1 && index <= 4) return make_synthetic(index);
-  }
-  return std::nullopt;
-}
-
 int usage() {
   std::cerr << "usage: flow_cli --benchmark <name> | --assay <file> "
                "[--alloc M,H,F,D]\n"
                "       [--flow ours|ba|both] [--seed n] [--svg out.svg] "
-               "[--dot out.dot] [--schedule]\n";
+               "[--dot out.dot] [--schedule]\n"
+               "benchmark names are case-insensitive: PCR, IVD, CPA, "
+               "Synthetic1..4,\n"
+               "ProteinSplit2, ProteinSplit3, GlucosePanel, PaperExample\n";
   return 2;
 }
 
@@ -64,7 +57,7 @@ int main(int argc, char** argv) {
     if (arg == "--benchmark") {
       const char* v = next();
       if (!v) return usage();
-      bench = benchmark_by_name(v);
+      bench = find_benchmark(v);
       if (!bench) {
         std::cerr << "unknown benchmark '" << v << "'\n";
         return 2;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <iterator>
 
 #include "bench_suite/synthetic.hpp"
 #include "graph/graph_builder.hpp"
@@ -206,21 +208,59 @@ Benchmark make_glucose_panel() {
   return bench;
 }
 
-std::vector<Benchmark> extended_benchmarks() {
-  std::vector<Benchmark> out = paper_benchmarks();
-  out.push_back(make_protein_split(2));
-  out.push_back(make_protein_split(3));
-  out.push_back(make_glucose_panel());
+namespace {
+
+struct NamedBenchmark {
+  std::string_view name;
+  Benchmark (*make)();
+};
+
+/// The extended suite in order; the first seven are Table I's rows.
+constexpr NamedBenchmark kSuite[] = {
+    {"PCR", make_pcr},
+    {"IVD", make_ivd},
+    {"CPA", make_cpa},
+    {"Synthetic1", [] { return make_synthetic(1); }},
+    {"Synthetic2", [] { return make_synthetic(2); }},
+    {"Synthetic3", [] { return make_synthetic(3); }},
+    {"Synthetic4", [] { return make_synthetic(4); }},
+    {"ProteinSplit2", [] { return make_protein_split(2); }},
+    {"ProteinSplit3", [] { return make_protein_split(3); }},
+    {"GlucosePanel", make_glucose_panel},
+};
+constexpr std::size_t kPaperRows = 7;
+
+bool equals_ignoring_case(std::string_view a, std::string_view b) {
+  return std::ranges::equal(a, b, [](char x, char y) {
+    return std::tolower(static_cast<unsigned char>(x)) ==
+           std::tolower(static_cast<unsigned char>(y));
+  });
+}
+
+std::vector<Benchmark> build_first(std::size_t count) {
+  std::vector<Benchmark> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) out.push_back(kSuite[i].make());
   return out;
 }
 
-std::vector<Benchmark> paper_benchmarks() {
-  std::vector<Benchmark> out;
-  out.push_back(make_pcr());
-  out.push_back(make_ivd());
-  out.push_back(make_cpa());
-  for (int i = 1; i <= 4; ++i) out.push_back(make_synthetic(i));
-  return out;
+}  // namespace
+
+std::vector<Benchmark> extended_benchmarks() {
+  return build_first(std::size(kSuite));
+}
+
+std::vector<Benchmark> paper_benchmarks() { return build_first(kPaperRows); }
+
+std::optional<Benchmark> find_benchmark(std::string_view name) {
+  for (const NamedBenchmark& entry : kSuite) {
+    if (equals_ignoring_case(entry.name, name)) return entry.make();
+  }
+  if (equals_ignoring_case(name, "PaperExample") ||
+      equals_ignoring_case(name, "paper_example")) {
+    return make_paper_example();
+  }
+  return std::nullopt;
 }
 
 }  // namespace fbmb

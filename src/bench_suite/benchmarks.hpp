@@ -20,7 +20,9 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "biochip/component_library.hpp"
@@ -69,5 +71,10 @@ std::vector<Benchmark> extended_benchmarks();
 
 /// All seven Table I benchmarks in row order.
 std::vector<Benchmark> paper_benchmarks();
+
+/// Builds the one extended-suite member whose name matches `name`
+/// case-insensitively, or the worked paper example for "PaperExample" /
+/// "paper_example"; nullopt for any other name.
+std::optional<Benchmark> find_benchmark(std::string_view name);
 
 }  // namespace fbmb

@@ -10,15 +10,24 @@ namespace fbmb {
 
 namespace {
 
-std::vector<std::string> tokens_of(const std::string& line) {
+/// The C locale's whitespace, the set a stream's >> splits fields on.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// The line's whitespace-separated fields, up to the first field that
+/// starts with '#' (a trailing comment).
+std::vector<std::string> tokens_of(std::string_view line) {
   std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // trailing comment
-    out.push_back(token);
+  std::size_t at = 0;
+  for (;;) {
+    while (at < line.size() && is_space(line[at])) ++at;
+    if (at == line.size() || line[at] == '#') return out;
+    const std::size_t begin = at;
+    while (at < line.size() && !is_space(line[at])) ++at;
+    out.emplace_back(line.substr(begin, at - begin));
   }
-  return out;
 }
 
 double parse_double(const std::string& s, int line, const char* what) {

@@ -1,9 +1,10 @@
 #include "runtime/result_io.hpp"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -232,12 +233,47 @@ std::optional<Value> parse(const std::string& text) {
 
 namespace {
 
-/// %.17g round-trips every finite IEEE-754 double exactly.
-std::string exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+/// A double to be written as %.17g writes it, which round-trips every
+/// finite IEEE-754 double exactly.
+struct Exact {
+  double value;
+};
+
+Exact exact(double v) { return {v}; }
+
+/// Appends JSON text to one string: text verbatim, integers and exact()
+/// doubles through std::to_chars. A bare double, bool or char does not
+/// compile, so no number is written in a second format by accident.
+class JsonOut {
+ public:
+  explicit JsonOut(std::string& out) : out_(out) {}
+
+  JsonOut& operator<<(std::string_view text) {
+    out_ += text;
+    return *this;
+  }
+
+  template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+  JsonOut& operator<<(T value) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    return *this;
+  }
+
+  // to_chars with an explicit precision is defined as printf's %.*g in
+  // the C locale, whatever the global locale is.
+  JsonOut& operator<<(Exact v) {
+    char buf[32];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v.value,
+                                   std::chars_format::general, 17)
+                         .ptr);
+    return *this;
+  }
+
+ private:
+  std::string& out_;
+};
 
 double get_num(const jsonio::Value& obj, const char* key, bool& ok) {
   const jsonio::Value* v = obj.find(key);
@@ -280,7 +316,7 @@ const jsonio::Value* get_array(const jsonio::Value& obj, const char* key,
   return v;
 }
 
-void write_fluid(std::ostringstream& os, const Fluid& fluid) {
+void write_fluid(JsonOut& os, const Fluid& fluid) {
   os << "{\"name\": " << json_quote(fluid.name)
      << ", \"d\": " << exact(fluid.diffusion_coefficient) << "}";
 }
@@ -292,7 +328,7 @@ bool read_fluid(const jsonio::Value& obj, Fluid& fluid) {
   return ok;
 }
 
-void write_schedule(std::ostringstream& os, const Schedule& schedule) {
+void write_schedule(JsonOut& os, const Schedule& schedule) {
   os << "{\"completion_time\": " << exact(schedule.completion_time)
      << ", \"transport_time\": " << exact(schedule.transport_time)
      << ", \"operations\": [";
@@ -377,7 +413,7 @@ bool read_schedule(const jsonio::Value& obj, Schedule& schedule) {
   return ok;
 }
 
-void write_placement(std::ostringstream& os, const Placement& placement) {
+void write_placement(JsonOut& os, const Placement& placement) {
   os << "[";
   for (std::size_t i = 0; i < placement.size(); ++i) {
     const PlacedComponent& pc = placement.at(ComponentId{static_cast<int>(i)});
@@ -402,7 +438,7 @@ bool read_placement(const jsonio::Value& arr, Placement& placement) {
   return ok;
 }
 
-void write_routing(std::ostringstream& os, const RoutingResult& routing) {
+void write_routing(JsonOut& os, const RoutingResult& routing) {
   os << "{\"total_wash_time\": " << exact(routing.total_wash_time)
      << ", \"conflict_postponements\": " << routing.conflict_postponements
      << ", \"route_stats\": {\"tasks_routed\": "
@@ -501,8 +537,9 @@ bool read_routing(const jsonio::Value& obj, RoutingResult& routing) {
 
 }  // namespace
 
-std::string synthesis_result_to_json(const SynthesisResult& result) {
-  std::ostringstream os;
+void append_synthesis_result_json(std::string& out,
+                                  const SynthesisResult& result) {
+  JsonOut os(out);
   os << "{\"completion_time\": " << exact(result.completion_time)
      << ", \"utilization\": " << exact(result.utilization)
      << ", \"channel_length_mm\": " << exact(result.channel_length_mm)
@@ -560,7 +597,12 @@ std::string synthesis_result_to_json(const SynthesisResult& result) {
      << "}, \"routing\": ";
   write_routing(os, result.routing);
   os << "}";
-  return os.str();
+}
+
+std::string synthesis_result_to_json(const SynthesisResult& result) {
+  std::string out;
+  append_synthesis_result_json(out, result);
+  return out;
 }
 
 std::optional<SynthesisResult> synthesis_result_from_json(

@@ -1,7 +1,9 @@
 // Lossless JSON round-trip of SynthesisResult, used by the result cache's
-// spill-to-disk and loadable by external tooling. Doubles are printed with
-// %.17g so every IEEE-754 value round-trips bit-exactly: a result loaded
-// from disk is indistinguishable from the freshly computed one.
+// spill-to-disk and loadable by external tooling. Doubles are written as
+// %.17g writes them, via std::to_chars, which unlike printf does not
+// depend on the C locale. Every IEEE-754 value round-trips bit-exactly: a
+// result loaded from disk is indistinguishable from the freshly computed
+// one.
 //
 // The reader is a small recursive-descent JSON parser (objects, arrays,
 // strings, numbers, booleans, null) — enough for documents this module and
@@ -47,6 +49,10 @@ std::optional<Value> parse(const std::string& text);
 
 /// The complete result as one JSON object (schema in docs/RUNTIME.md).
 std::string synthesis_result_to_json(const SynthesisResult& result);
+
+/// Appends synthesis_result_to_json(result) to `out`.
+void append_synthesis_result_json(std::string& out,
+                                  const SynthesisResult& result);
 
 /// Inverse of synthesis_result_to_json. Returns nullopt on malformed or
 /// schema-incompatible input.

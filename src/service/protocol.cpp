@@ -1,8 +1,9 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "bench_suite/benchmarks.hpp"
@@ -21,19 +22,11 @@ std::string lowercase(std::string s) {
   return s;
 }
 
-/// Named-benchmark lookup over the extended suite (the Table-I seven plus
-/// the extra real-life assays) and the worked paper example.
-std::optional<Benchmark> find_benchmark(const std::string& name) {
-  const std::string want = lowercase(name);
-  for (Benchmark& bench : extended_benchmarks()) {
-    if (lowercase(bench.name) == want) return std::move(bench);
-  }
-  if (Benchmark example = make_paper_example();
-      lowercase(example.name) == want || want == "paper_example") {
-    return example;
-  }
-  return std::nullopt;
-}
+/// Bound on each count of an inline assay's allocate line, the bound
+/// "restarts" has. Allocation builds one component per count on the
+/// connection thread, so an unbounded count lets one request claim
+/// unbounded memory there.
+constexpr int kMaxAllocateCount = 64;
 
 /// Reads an optional finite number member; false only on a type error.
 bool read_number(const jsonio::Value& root, const char* key, double& out,
@@ -90,6 +83,13 @@ std::optional<SynthesizeRequest> parse_synthesize_request(
       ParsedAssay parsed = parse_assay(assay->str);
       if (!parsed.has_allocation) {
         error = "assay text must contain an allocate line";
+        return std::nullopt;
+      }
+      const AllocationSpec& counts = parsed.allocation;
+      if (std::max({counts.mixers, counts.heaters, counts.filters,
+                    counts.detectors}) > kMaxAllocateCount) {
+        error = "assay: allocate counts must be at most " +
+                std::to_string(kMaxAllocateCount);
         return std::nullopt;
       }
       req.job.name = "assay";
@@ -193,22 +193,35 @@ std::string error_body(const std::string& message,
 
 std::string synthesize_body(const JobOutcome& outcome,
                             const std::string& inline_trace_json) {
-  char wall[48];
-  std::snprintf(wall, sizeof(wall), "%.9g", outcome.wall_seconds);
-  std::ostringstream os;
-  os << "{\"name\": " << json_quote(outcome.name) << ", \"fingerprint\": \""
-     << outcome.fingerprint.to_hex()
-     << "\", \"cache_hit\": " << (outcome.cache_hit ? "true" : "false")
-     << ", \"wall_seconds\": " << wall;
+  char number[32];
+  std::string body = "{\"name\": " + json_quote(outcome.name);
+  body += ", \"fingerprint\": \"";
+  body += outcome.fingerprint.to_hex();
+  body += "\", \"cache_hit\": ";
+  body += outcome.cache_hit ? "true" : "false";
+  body += ", \"wall_seconds\": ";
+  // Written as %.9g writes it.
+  body.append(number, std::to_chars(number, number + sizeof(number),
+                                    outcome.wall_seconds,
+                                    std::chars_format::general, 9)
+                          .ptr);
   if (outcome.trace_id != 0) {
     // As a decimal string: 64-bit ids don't survive a double round-trip.
-    os << ", \"trace_id\": \"" << outcome.trace_id << "\"";
+    body += ", \"trace_id\": \"";
+    body.append(number,
+                std::to_chars(number, number + sizeof(number),
+                              outcome.trace_id)
+                    .ptr);
+    body += '"';
   }
   if (!inline_trace_json.empty()) {
-    os << ", \"trace\": " << inline_trace_json;
+    body += ", \"trace\": ";
+    body += inline_trace_json;
   }
-  os << ", \"result\": " << synthesis_result_to_json(outcome.result) << "}";
-  return os.str();
+  body += ", \"result\": ";
+  append_synthesis_result_json(body, outcome.result);
+  body += '}';
+  return body;
 }
 
 }  // namespace fbmb::service

@@ -3,11 +3,11 @@
 // A request selects a workload either by named benchmark ("benchmark":
 // "PCR", any Table-I or extended name, case-insensitive) or by inline
 // assay text ("assay": the graph/assay_parser format, which must carry an
-// `allocate` line), plus a flow preset, seed/restart overrides, an
-// optional per-request deadline, and an optional server-side stall used
-// only by load tests. Parsing uses the hardened jsonio parser — the body
-// is untrusted bytes — and returns a human-readable error instead of
-// throwing.
+// `allocate` line with no count above 64), plus a flow preset,
+// seed/restart overrides, an optional per-request deadline, and an
+// optional server-side stall used only by load tests. Parsing uses the
+// hardened jsonio parser — the body is untrusted bytes — and returns a
+// human-readable error instead of throwing.
 //
 // Responses reuse the runtime's lossless result writer, so a served
 // result is byte-identical to synthesis_result_to_json() of the same

@@ -58,6 +58,45 @@ TEST(AssayParser, CommentsAndBlanksIgnored) {
   EXPECT_EQ(parsed.graph.operation_count(), 1u);
 }
 
+TEST(AssayParser, TokenizesLikeAStream) {
+  // Fields split on the C locale's whitespace set, as a stream's >> does,
+  // and a field starting with '#' ends the line.
+  constexpr const char* kPlain =
+      "op x mix 1\nop y detect 2 wash=3\ndep x y\nallocate 1 0 0 1\n";
+  const auto text_of = [](const std::string& assay) {
+    const ParsedAssay parsed = parse_assay(assay);
+    return write_assay(parsed.graph, &parsed.allocation, &parsed.wash);
+  };
+  const std::string want = text_of(kPlain);
+  for (const char* spelling : {
+           // tabs between fields
+           "op\tx\tmix\t1\nop y\tdetect 2\twash=3\ndep\tx y\n"
+           "allocate 1\t0 0\t1\n",
+           // CRLF line ends
+           "op x mix 1\r\nop y detect 2 wash=3\r\ndep x y\r\n"
+           "allocate 1 0 0 1\r\n",
+           // vertical tab and form feed
+           "op\vx mix\f1\nop y detect 2 wash=3\f\ndep x\vy\n"
+           "allocate 1 0 0 1\n",
+           // leading whitespace and whitespace-only lines
+           "  op x mix 1\n \t \n\top y detect 2 wash=3\n\r\n"
+           "\v\f\n dep x y\nallocate 1 0 0 1\n",
+           // '#' directly after a field
+           "op x mix 1 #c\nop y detect 2 wash=3\t#c\ndep x y\t#c\n"
+           "allocate 1 0 0 1 #c\n",
+       }) {
+    EXPECT_EQ(text_of(spelling), want) << spelling;
+  }
+  // A '#' inside a field is part of it, not a comment.
+  try {
+    parse_assay("op x mix 1#c\n");
+    FAIL() << "expected AssayParseError";
+  } catch (const AssayParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_STREQ(e.what(), "line 1: invalid duration '1#c'");
+  }
+}
+
 TEST(AssayParser, ErrorsCarryLineNumbers) {
   try {
     parse_assay("op a mix 1\nbogus directive\n");

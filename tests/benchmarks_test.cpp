@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
+#include "graph/assay_parser.hpp"
 #include "graph/graph_algorithms.hpp"
 
 namespace fbmb {
@@ -101,6 +104,43 @@ TEST(Benchmarks, PaperBenchmarksReturnsAllSevenInOrder) {
   EXPECT_EQ(all[2].name, "CPA");
   EXPECT_EQ(all[3].name, "Synthetic1");
   EXPECT_EQ(all[6].name, "Synthetic4");
+}
+
+TEST(Benchmarks, FindBenchmarkBuildsEachSuiteMember) {
+  std::vector<Benchmark> suite = extended_benchmarks();
+  std::vector<std::string> names;
+  for (const Benchmark& b : suite) names.push_back(b.name);
+  // The lookup table's order is the suite's: Table I's rows, then the
+  // extra real-life assays.
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "PCR", "IVD", "CPA", "Synthetic1", "Synthetic2",
+                       "Synthetic3", "Synthetic4", "ProteinSplit2",
+                       "ProteinSplit3", "GlucosePanel"}));
+  suite.push_back(make_paper_example());
+  for (const Benchmark& want : suite) {
+    std::string lower = want.name;
+    std::string upper = want.name;
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    for (char& c : upper) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    for (const std::string& spelling : {want.name, lower, upper}) {
+      const std::optional<Benchmark> got = find_benchmark(spelling);
+      ASSERT_TRUE(got.has_value()) << spelling;
+      EXPECT_EQ(got->name, want.name) << spelling;
+      EXPECT_EQ(write_assay(got->graph, &got->allocation, &got->wash),
+                write_assay(want.graph, &want.allocation, &want.wash))
+          << spelling;
+    }
+  }
+  const std::optional<Benchmark> example = find_benchmark("paper_example");
+  ASSERT_TRUE(example.has_value());
+  EXPECT_EQ(example->name, "PaperExample");
+  for (const char* unknown : {"", "Synthetic5", "PCR "}) {
+    EXPECT_FALSE(find_benchmark(unknown).has_value()) << unknown;
+  }
 }
 
 TEST(Benchmarks, AllocationsCoverEveryOperationType) {

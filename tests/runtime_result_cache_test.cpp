@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_suite/benchmarks.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/result_io.hpp"
+#include "util/rng.hpp"
 
 namespace fbmb {
 namespace {
@@ -344,6 +349,45 @@ TEST(ResultIo, FlowStatsRoundTripAndBackwardCompat) {
   EXPECT_EQ(old->flow_stats.transports_rerouted, 0u);
   EXPECT_EQ(old->flow_stats.transports_reused, 0u);
   EXPECT_EQ(old->flow_stats.cells_evicted, 0u);
+}
+
+TEST(ResultIo, DoublesPrintExactlyAsPercent17g) {
+  // Served bodies and spills must stay byte-identical across writers, so
+  // every double is printed as %.17g prints it: a shortest round-trip
+  // writer would print 0.1 where %.17g prints 0.10000000000000001.
+  SynthesisResult result = tiny_result(1.0);
+  result.routing.delays = {0.0, -0.0, 5e-324, DBL_MIN, DBL_MAX, 0.1,
+                           1.0 / 3.0, 1e16, 1e17, 123456789.125};
+  const std::size_t edge_cases = result.routing.delays.size();
+  Rng rng(20260808);
+  while (result.routing.delays.size() < edge_cases + 10000) {
+    const double value = std::bit_cast<double>(rng.next());
+    if (std::isfinite(value)) result.routing.delays.push_back(value);
+  }
+  std::string want;
+  for (const double value : result.routing.delays) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    if (!want.empty()) want += ',';
+    want += buf;
+  }
+
+  const std::string json = synthesis_result_to_json(result);
+  const std::size_t begin = json.find("\"delays\": [");
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t first = begin + std::string("\"delays\": [").size();
+  const std::size_t end = json.find(']', first);
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(json.substr(first, end - first), want);
+
+  const auto back = synthesis_result_from_json(json);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->routing.delays.size(), result.routing.delays.size());
+  for (std::size_t i = 0; i < result.routing.delays.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back->routing.delays[i]),
+              std::bit_cast<std::uint64_t>(result.routing.delays[i]))
+        << "delay " << i << " = " << result.routing.delays[i];
+  }
 }
 
 TEST(ResultCache, LoadRejectsMalformedFiles) {

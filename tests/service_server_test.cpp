@@ -165,6 +165,31 @@ TEST(SynthServer, RejectsBadRequestBodies) {
   EXPECT_GE(response_counter(server.port(), "bad_request"), 13u);
 }
 
+TEST(SynthServer, RejectsOversizedAllocation) {
+  // The server builds one component per allocate count on the connection
+  // thread, so a count is capped before that: 2e9 mixers would exhaust
+  // memory there.
+  SynthServer server(test_options());
+  server.start();
+  for (const char* body : {
+           R"({"assay": "op a mix 1\nallocate 65 0 0 0\n"})",
+           R"({"assay": "op a mix 1\nallocate 2000000000 0 0 0\n"})",
+           R"({"assay": "op a detect 1\nallocate 1 0 0 65\n"})",
+       }) {
+    const auto response =
+        roundtrip(server.port(), "POST", "/synthesize", body);
+    ASSERT_TRUE(response.has_value()) << body;
+    EXPECT_EQ(response->status, 400) << body;
+    EXPECT_NE(response->body.find("at most 64"), std::string::npos)
+        << response->body;
+  }
+  std::string error;
+  const auto req = parse_synthesize_request(
+      R"({"assay": "op a mix 1\nallocate 64 0 0 0\n"})", error);
+  ASSERT_TRUE(req.has_value()) << error;
+  EXPECT_EQ(req->job.allocation.components().size(), 64u);
+}
+
 TEST(SynthServer, AcceptsSeedAndTimeoutAtTheirLimits) {
   // The largest double below 2^64 is a valid seed and converts exactly.
   std::string error;
