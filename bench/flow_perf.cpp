@@ -27,6 +27,7 @@
 #include "place/sa_placer.hpp"
 #include "report/table.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "util/fields.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -207,10 +208,7 @@ int main(int argc, char** argv) {
            << ", \"flat_seconds\": " << num(incremental.seconds)
            << ", \"speedup\": " << num(speedup)
            << ", \"identical\": " << (identical ? "true" : "false")
-           << ", \"flow\": {\"rounds\": " << flow.rounds
-           << ", \"transports_rerouted\": " << flow.transports_rerouted
-           << ", \"transports_reused\": " << flow.transports_reused
-           << ", \"cells_evicted\": " << flow.cells_evicted
+           << ", \"flow\": {" << json_fields(flow)
            << ", \"rounds_detail\": [";
       for (std::size_t r = 0; r < flow.round_details.size(); ++r) {
         const FlowRound& round = flow.round_details[r];

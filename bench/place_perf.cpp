@@ -30,6 +30,7 @@
 #include "place/sa_placer.hpp"
 #include "report/table.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "util/fields.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -200,11 +201,7 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << num(speedup)
          << ", \"proposals_per_second\": " << num(proposals_per_s)
          << ", \"identical\": " << (identical(s, core, ref) ? "true" : "false")
-         << ", \"placement\": {\"proposals\": " << stats.proposals
-         << ", \"accepts\": " << stats.accepts
-         << ", \"delta_evals\": " << stats.delta_evals
-         << ", \"full_evals\": " << stats.full_evals
-         << ", \"occupancy_probes\": " << stats.occupancy_probes << "}}";
+         << ", \"placement\": {" << json_fields(stats) << "}}";
     first = false;
 
     const Scenario b = prepare_baseline(bench);

@@ -27,6 +27,7 @@
 #include "schedule/list_scheduler.hpp"
 #include "schedule/reference_scheduler.hpp"
 #include "schedule/scheduler_core.hpp"
+#include "util/fields.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -149,12 +150,7 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << num(speedup)
          << ", \"ops_per_second\": " << num(ops_per_s)
          << ", \"identical\": " << (equal ? "true" : "false")
-         << ", \"scheduling\": {\"ops_scheduled\": " << stats.ops_scheduled
-         << ", \"heap_pushes\": " << stats.heap_pushes
-         << ", \"heap_pops\": " << stats.heap_pops
-         << ", \"binding_probes\": " << stats.binding_probes
-         << ", \"case1_bindings\": " << stats.case1_bindings
-         << ", \"case2_bindings\": " << stats.case2_bindings << "}}";
+         << ", \"scheduling\": {" << json_fields(stats) << "}}";
     first = false;
   }
   json << "\n]}";

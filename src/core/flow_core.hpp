@@ -39,6 +39,7 @@
 #include "route/incremental_router.hpp"
 #include "route/router.hpp"
 #include "schedule/types.hpp"
+#include "util/fields.hpp"
 
 namespace fbmb {
 
@@ -53,8 +54,22 @@ struct StageTimes {
   double route = 0.0;       ///< A* routing rounds (dominant stage)
   double retime = 0.0;      ///< folding router postponements into the schedule
 
+  /// Every stage above, in flow order, as {JSON key, member}
+  /// (util/fields.hpp).
+  static constexpr Field<StageTimes, double> kFields[] = {
+      {"schedule", &StageTimes::schedule},
+      {"refine", &StageTimes::refine},
+      {"place", &StageTimes::place},
+      {"grid_build", &StageTimes::grid_build},
+      {"route", &StageTimes::route},
+      {"retime", &StageTimes::retime},
+  };
+
+  /// The stages summed in table order.
   double total() const {
-    return schedule + refine + place + grid_build + route + retime;
+    double sum = 0.0;
+    for (const auto& field : kFields) sum += this->*field.member;
+    return sum;
   }
 };
 
@@ -71,11 +86,17 @@ struct FlowStats {
   /// flow_perf bench reports per-round re-route fractions from it.
   std::vector<FlowRound> round_details;
 
+  /// The four counters above (not round_details), as {JSON key, member}
+  /// (util/fields.hpp).
+  static constexpr Field<FlowStats, std::uint64_t> kFields[] = {
+      {"rounds", &FlowStats::rounds},
+      {"transports_rerouted", &FlowStats::transports_rerouted},
+      {"transports_reused", &FlowStats::transports_reused},
+      {"cells_evicted", &FlowStats::cells_evicted},
+  };
+
   FlowStats& operator+=(const FlowStats& o) {
-    rounds += o.rounds;
-    transports_rerouted += o.transports_rerouted;
-    transports_reused += o.transports_reused;
-    cells_evicted += o.cells_evicted;
+    add_fields(*this, o);
     round_details.insert(round_details.end(), o.round_details.begin(),
                          o.round_details.end());
     return *this;

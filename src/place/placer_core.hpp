@@ -34,6 +34,7 @@
 #include "biochip/component_library.hpp"
 #include "place/connection_priority.hpp"
 #include "place/placement.hpp"
+#include "util/fields.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
 
@@ -49,14 +50,16 @@ struct PlaceStats {
   std::uint64_t full_evals = 0;        ///< full rebuilds (one per bind)
   std::uint64_t occupancy_probes = 0;  ///< occupancy-grid legality probes
 
-  PlaceStats& operator+=(const PlaceStats& o) {
-    proposals += o.proposals;
-    accepts += o.accepts;
-    delta_evals += o.delta_evals;
-    full_evals += o.full_evals;
-    occupancy_probes += o.occupancy_probes;
-    return *this;
-  }
+  /// Every counter above, as {JSON key, member} (util/fields.hpp).
+  static constexpr Field<PlaceStats, std::uint64_t> kFields[] = {
+      {"proposals", &PlaceStats::proposals},
+      {"accepts", &PlaceStats::accepts},
+      {"delta_evals", &PlaceStats::delta_evals},
+      {"full_evals", &PlaceStats::full_evals},
+      {"occupancy_probes", &PlaceStats::occupancy_probes},
+  };
+
+  PlaceStats& operator+=(const PlaceStats& o) { return add_fields(*this, o); }
 };
 
 /// Dense grid of cell -> component id (-1 = free). Footprints of a legal

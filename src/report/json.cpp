@@ -5,15 +5,11 @@
 
 namespace fbmb {
 
-namespace {
-
-std::string number(double v) {
+std::string json_number(double value) {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  std::snprintf(buf, sizeof(buf), "%.9g", value);
   return buf;
 }
-
-}  // namespace
 
 std::string json_quote(const std::string& value) {
   std::string out = "\"";
@@ -42,9 +38,10 @@ std::string schedule_to_json(const Schedule& schedule,
                              const SequencingGraph& graph,
                              const Allocation& allocation) {
   std::ostringstream os;
-  os << "{\n  \"completion_time\": " << number(schedule.completion_time)
-     << ",\n  \"transport_time\": " << number(schedule.transport_time)
-     << ",\n  \"total_cache_time\": " << number(schedule.total_cache_time())
+  os << "{\n  \"completion_time\": " << json_number(schedule.completion_time)
+     << ",\n  \"transport_time\": " << json_number(schedule.transport_time)
+     << ",\n  \"total_cache_time\": "
+     << json_number(schedule.total_cache_time())
      << ",\n  \"operations\": [";
   bool first = true;
   for (const auto& so : schedule.operations) {
@@ -52,8 +49,8 @@ std::string schedule_to_json(const Schedule& schedule,
     os << (first ? "" : ",") << "\n    {\"name\": "
        << json_quote(graph.operation(so.op).name) << ", \"component\": "
        << json_quote(allocation.component(so.component).name)
-       << ", \"start\": " << number(so.start) << ", \"end\": "
-       << number(so.end) << ", \"in_place\": "
+       << ", \"start\": " << json_number(so.start) << ", \"end\": "
+       << json_number(so.end) << ", \"in_place\": "
        << (so.consumed_in_place() ? "true" : "false") << "}";
     first = false;
   }
@@ -64,9 +61,10 @@ std::string schedule_to_json(const Schedule& schedule,
        << json_quote(graph.operation(t.producer).name) << ", \"consumer\": "
        << json_quote(graph.operation(t.consumer).name) << ", \"fluid\": "
        << json_quote(t.fluid.name) << ", \"departure\": "
-       << number(t.departure) << ", \"arrival\": " << number(t.arrival())
-       << ", \"consume\": " << number(t.consume) << ", \"cache_time\": "
-       << number(t.cache_time()) << ", \"evicted\": "
+       << json_number(t.departure)
+       << ", \"arrival\": " << json_number(t.arrival())
+       << ", \"consume\": " << json_number(t.consume) << ", \"cache_time\": "
+       << json_number(t.cache_time()) << ", \"evicted\": "
        << (t.evicted ? "true" : "false") << "}";
     first = false;
   }
@@ -76,7 +74,7 @@ std::string schedule_to_json(const Schedule& schedule,
     os << (first ? "" : ",") << "\n    {\"component\": "
        << json_quote(allocation.component(w.component).name)
        << ", \"residue\": " << json_quote(w.residue.name) << ", \"start\": "
-       << number(w.start) << ", \"end\": " << number(w.end) << "}";
+       << json_number(w.start) << ", \"end\": " << json_number(w.end) << "}";
     first = false;
   }
   os << "\n  ]\n}\n";

@@ -18,6 +18,9 @@ struct SynthesisResult;  // core/synthesis.hpp; kept incomplete here so the
 /// Escapes a string for inclusion in a JSON document (quotes included).
 std::string json_quote(const std::string& value);
 
+/// A double as the report and telemetry JSON write it: %.9g.
+std::string json_number(double value);
+
 /// Schedule alone (operations, transports, washes, metrics).
 std::string schedule_to_json(const Schedule& schedule,
                              const SequencingGraph& graph,

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "util/fields.hpp"
 #include "util/geometry.hpp"
 
 namespace fbmb {
@@ -33,16 +34,18 @@ struct RouteStats {
   /// the result is not consistent (see RouterOptions::max_fixpoint_rounds).
   std::uint64_t fixpoints_capped = 0;
 
-  RouteStats& operator+=(const RouteStats& o) {
-    tasks_routed += o.tasks_routed;
-    nodes_expanded += o.nodes_expanded;
-    heap_pushes += o.heap_pushes;
-    feasibility_rejections += o.feasibility_rejections;
-    postponement_steps += o.postponement_steps;
-    distance_fields_built += o.distance_fields_built;
-    fixpoints_capped += o.fixpoints_capped;
-    return *this;
-  }
+  /// Every counter above, as {JSON key, member} (util/fields.hpp).
+  static constexpr Field<RouteStats, std::uint64_t> kFields[] = {
+      {"tasks_routed", &RouteStats::tasks_routed},
+      {"nodes_expanded", &RouteStats::nodes_expanded},
+      {"heap_pushes", &RouteStats::heap_pushes},
+      {"feasibility_rejections", &RouteStats::feasibility_rejections},
+      {"postponement_steps", &RouteStats::postponement_steps},
+      {"distance_fields_built", &RouteStats::distance_fields_built},
+      {"fixpoints_capped", &RouteStats::fixpoints_capped},
+  };
+
+  RouteStats& operator+=(const RouteStats& o) { return add_fields(*this, o); }
 };
 
 /// One routed transportation task.

@@ -2,19 +2,22 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "report/json.hpp"
+#include "util/fields.hpp"
 
 namespace fbmb {
 
 namespace jsonio {
 
-const Value* Value::find(const std::string& key) const {
+const Value* Value::find(std::string_view key) const {
   for (const auto& [k, v] : object) {
     if (k == key) return &v;
   }
@@ -275,17 +278,64 @@ class JsonOut {
   std::string& out_;
 };
 
-double get_num(const jsonio::Value& obj, const char* key, bool& ok) {
-  const jsonio::Value* v = obj.find(key);
-  if (!v || v->kind != jsonio::Value::Kind::kNumber) {
-    ok = false;
-    return 0.0;
+bool read_value(const jsonio::Value* v, double& out) {
+  if (!v || v->kind != jsonio::Value::Kind::kNumber) return false;
+  out = v->num;
+  return true;
+}
+
+/// An integer field holds a JSON number that is an integer T represents:
+/// 3.5, 1e10 in an int, -1 in a counter and 1e400 (parsed as inf) are
+/// malformed like any other bad field, rather than cast out of range.
+template <std::integral T>
+bool read_value(const jsonio::Value* v, T& out) {
+  if (!v || v->kind != jsonio::Value::Kind::kNumber) return false;
+  // T holds [low, 2^digits), and powers of two are exact doubles.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double low = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (!(v->num >= low && v->num < limit) || std::trunc(v->num) != v->num) {
+    return false;
   }
-  return v->num;
+  out = static_cast<T>(v->num);
+  return true;
+}
+
+double get_num(const jsonio::Value& obj, const char* key, bool& ok) {
+  double value = 0.0;
+  if (!read_value(obj.find(key), value)) ok = false;
+  return value;
 }
 
 int get_int(const jsonio::Value& obj, const char* key, bool& ok) {
-  return static_cast<int>(get_num(obj, key, ok));
+  int value = 0;
+  if (!read_value(obj.find(key), value)) ok = false;
+  return value;
+}
+
+/// Reads every tabled member of `stats` from `obj`. A missing or malformed
+/// key fails, except that `added_later`, a key spills written before it
+/// existed lack, may be missing and then stays zero. Keys the table does
+/// not name are ignored.
+template <class S>
+void read_fields(const jsonio::Value& obj, S& stats, bool& ok,
+                 std::string_view added_later = {}) {
+  for (const auto& field : S::kFields) {
+    const jsonio::Value* v = obj.find(field.key);
+    if (!v && field.key == added_later) continue;
+    if (!read_value(v, stats.*field.member)) ok = false;
+  }
+}
+
+/// Reads the counter object `parent[key]` into `stats`. The object itself
+/// is optional: spills written before the struct's counters existed lack
+/// it and load with every counter at zero.
+template <class S>
+void read_counters(const jsonio::Value& parent, const char* key, S& stats,
+                   bool& ok, std::string_view added_later = {}) {
+  const jsonio::Value* obj = parent.find(key);
+  if (obj && obj->kind == jsonio::Value::Kind::kObject) {
+    read_fields(*obj, stats, ok, added_later);
+  }
 }
 
 bool get_bool(const jsonio::Value& obj, const char* key, bool& ok) {
@@ -441,16 +491,7 @@ bool read_placement(const jsonio::Value& arr, Placement& placement) {
 void write_routing(JsonOut& os, const RoutingResult& routing) {
   os << "{\"total_wash_time\": " << exact(routing.total_wash_time)
      << ", \"conflict_postponements\": " << routing.conflict_postponements
-     << ", \"route_stats\": {\"tasks_routed\": "
-     << routing.stats.tasks_routed
-     << ", \"nodes_expanded\": " << routing.stats.nodes_expanded
-     << ", \"heap_pushes\": " << routing.stats.heap_pushes
-     << ", \"feasibility_rejections\": "
-     << routing.stats.feasibility_rejections
-     << ", \"postponement_steps\": " << routing.stats.postponement_steps
-     << ", \"distance_fields_built\": "
-     << routing.stats.distance_fields_built
-     << ", \"fixpoints_capped\": " << routing.stats.fixpoints_capped
+     << ", \"route_stats\": {" << json_fields(routing.stats)
      << "}, \"delays\": [";
   for (std::size_t i = 0; i < routing.delays.size(); ++i) {
     os << (i ? "," : "") << exact(routing.delays[i]);
@@ -479,28 +520,8 @@ bool read_routing(const jsonio::Value& obj, RoutingResult& routing) {
   bool ok = true;
   routing.total_wash_time = get_num(obj, "total_wash_time", ok);
   routing.conflict_postponements = get_int(obj, "conflict_postponements", ok);
-  // route_stats is optional so spills written before the counters existed
-  // still load (all counters default to zero).
-  if (const jsonio::Value* rs = obj.find("route_stats");
-      rs && rs->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*rs, key, ok));
-    };
-    routing.stats.tasks_routed = u64("tasks_routed");
-    routing.stats.nodes_expanded = u64("nodes_expanded");
-    routing.stats.heap_pushes = u64("heap_pushes");
-    routing.stats.feasibility_rejections = u64("feasibility_rejections");
-    routing.stats.postponement_steps = u64("postponement_steps");
-    routing.stats.distance_fields_built = u64("distance_fields_built");
-    // fixpoints_capped was added to route_stats later; a local flag keeps
-    // spills written before it (which have the object but not the key)
-    // loading with the counter at zero.
-    bool have_capped = true;
-    const double capped = get_num(*rs, "fixpoints_capped", have_capped);
-    if (have_capped) {
-      routing.stats.fixpoints_capped = static_cast<std::uint64_t>(capped);
-    }
-  }
+  // fixpoints_capped was added to route_stats later.
+  read_counters(obj, "route_stats", routing.stats, ok, "fixpoints_capped");
   const jsonio::Value* delays = get_array(obj, "delays", ok);
   const jsonio::Value* paths = get_array(obj, "paths", ok);
   if (!ok) return false;
@@ -521,14 +542,14 @@ bool read_routing(const jsonio::Value& obj, RoutingResult& routing) {
     const jsonio::Value* cells = get_array(o, "cells", ok);
     if (!ok) return false;
     for (const jsonio::Value& cell : cells->array) {
+      Point point;
       if (cell.kind != jsonio::Value::Kind::kArray ||
           cell.array.size() != 2 ||
-          cell.array[0].kind != jsonio::Value::Kind::kNumber ||
-          cell.array[1].kind != jsonio::Value::Kind::kNumber) {
+          !read_value(&cell.array[0], point.x) ||
+          !read_value(&cell.array[1], point.y)) {
         return false;
       }
-      p.cells.push_back(Point{static_cast<int>(cell.array[0].num),
-                              static_cast<int>(cell.array[1].num)});
+      p.cells.push_back(point);
     }
     routing.paths.push_back(std::move(p));
   }
@@ -546,13 +567,7 @@ void append_synthesis_result_json(std::string& out,
      << ", \"total_cache_time\": " << exact(result.total_cache_time)
      << ", \"channel_wash_time\": " << exact(result.channel_wash_time)
      << ", \"cpu_seconds\": " << exact(result.cpu_seconds)
-     << ", \"stage_seconds\": {\"schedule\": "
-     << exact(result.stage_seconds.schedule)
-     << ", \"refine\": " << exact(result.stage_seconds.refine)
-     << ", \"place\": " << exact(result.stage_seconds.place)
-     << ", \"grid_build\": " << exact(result.stage_seconds.grid_build)
-     << ", \"route\": " << exact(result.stage_seconds.route)
-     << ", \"retime\": " << exact(result.stage_seconds.retime)
+     << ", \"stage_seconds\": {" << json_fields(result.stage_seconds, exact)
      << "}, \"stats\": {\"completion_time\": "
      << exact(result.stats.completion_time)
      << ", \"utilization\": " << exact(result.stats.utilization)
@@ -574,26 +589,12 @@ void append_synthesis_result_json(std::string& out,
   write_schedule(os, result.schedule);
   os << ", \"placement\": ";
   write_placement(os, result.placement);
-  os << ", \"place_stats\": {\"proposals\": " << result.place_stats.proposals
-     << ", \"accepts\": " << result.place_stats.accepts
-     << ", \"delta_evals\": " << result.place_stats.delta_evals
-     << ", \"full_evals\": " << result.place_stats.full_evals
-     << ", \"occupancy_probes\": " << result.place_stats.occupancy_probes
-     << "}, \"sched_stats\": {\"ops_scheduled\": "
-     << result.sched_stats.ops_scheduled
-     << ", \"heap_pushes\": " << result.sched_stats.heap_pushes
-     << ", \"heap_pops\": " << result.sched_stats.heap_pops
-     << ", \"binding_probes\": " << result.sched_stats.binding_probes
-     << ", \"case1_bindings\": " << result.sched_stats.case1_bindings
-     << ", \"case2_bindings\": " << result.sched_stats.case2_bindings
-     // Only the aggregate fixpoint counters are spilled; per-round
-     // details (FlowStats::round_details) are per-job telemetry and are
-     // not worth the cache bytes.
-     << "}, \"flow_stats\": {\"rounds\": " << result.flow_stats.rounds
-     << ", \"transports_rerouted\": "
-     << result.flow_stats.transports_rerouted
-     << ", \"transports_reused\": " << result.flow_stats.transports_reused
-     << ", \"cells_evicted\": " << result.flow_stats.cells_evicted
+  os << ", \"place_stats\": {" << json_fields(result.place_stats)
+     << "}, \"sched_stats\": {" << json_fields(result.sched_stats)
+     // Only the tabled fixpoint counters are spilled; per-round details
+     // (FlowStats::round_details) are per-job telemetry and are not worth
+     // the cache bytes.
+     << "}, \"flow_stats\": {" << json_fields(result.flow_stats)
      << "}, \"routing\": ";
   write_routing(os, result.routing);
   os << "}";
@@ -627,16 +628,8 @@ std::optional<SynthesisResult> synthesis_result_from_value(
   result.cpu_seconds = get_num(root, "cpu_seconds", ok);
   const jsonio::Value* stages = root.find("stage_seconds");
   if (!stages) return std::nullopt;
-  result.stage_seconds.schedule = get_num(*stages, "schedule", ok);
-  result.stage_seconds.refine = get_num(*stages, "refine", ok);
-  result.stage_seconds.place = get_num(*stages, "place", ok);
-  result.stage_seconds.route = get_num(*stages, "route", ok);
-  result.stage_seconds.retime = get_num(*stages, "retime", ok);
-  // grid_build was split out of the route span later; a local flag keeps
-  // spills written before the split loading with the stage at zero.
-  bool have_grid_build = true;
-  const double grid_build = get_num(*stages, "grid_build", have_grid_build);
-  if (have_grid_build) result.stage_seconds.grid_build = grid_build;
+  // grid_build was split out of the route span later.
+  read_fields(*stages, result.stage_seconds, ok, "grid_build");
   const jsonio::Value* stats = root.find("stats");
   if (!stats) return std::nullopt;
   result.stats.completion_time = get_num(*stats, "completion_time", ok);
@@ -658,47 +651,11 @@ std::optional<SynthesisResult> synthesis_result_from_value(
   result.chip.component_spacing = get_int(*chip, "component_spacing", ok);
   result.chip.cache_segment_cells =
       get_int(*chip, "cache_segment_cells", ok);
-  // place_stats is optional so spills written before the placement
-  // counters existed still load (all counters default to zero).
-  if (const jsonio::Value* ps = root.find("place_stats");
-      ps && ps->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*ps, key, ok));
-    };
-    result.place_stats.proposals = u64("proposals");
-    result.place_stats.accepts = u64("accepts");
-    result.place_stats.delta_evals = u64("delta_evals");
-    result.place_stats.full_evals = u64("full_evals");
-    result.place_stats.occupancy_probes = u64("occupancy_probes");
-  }
-  // sched_stats is likewise optional for spills written before the
-  // scheduler counters existed.
-  if (const jsonio::Value* ss = root.find("sched_stats");
-      ss && ss->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*ss, key, ok));
-    };
-    result.sched_stats.ops_scheduled = u64("ops_scheduled");
-    result.sched_stats.heap_pushes = u64("heap_pushes");
-    result.sched_stats.heap_pops = u64("heap_pops");
-    result.sched_stats.binding_probes = u64("binding_probes");
-    result.sched_stats.case1_bindings = u64("case1_bindings");
-    result.sched_stats.case2_bindings = u64("case2_bindings");
-  }
-  // flow_stats is likewise optional for spills written before the
-  // incremental fixpoint existed (counters default to zero; per-round
-  // details are never spilled). Keys it no longer reads, such as the
-  // four routing-thread counters older spills carry, are ignored.
-  if (const jsonio::Value* fs = root.find("flow_stats");
-      fs && fs->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*fs, key, ok));
-    };
-    result.flow_stats.rounds = u64("rounds");
-    result.flow_stats.transports_rerouted = u64("transports_rerouted");
-    result.flow_stats.transports_reused = u64("transports_reused");
-    result.flow_stats.cells_evicted = u64("cells_evicted");
-  }
+  // Keys the reader no longer knows, such as the four routing-thread
+  // counters older flow_stats objects carry, are ignored.
+  read_counters(root, "place_stats", result.place_stats, ok);
+  read_counters(root, "sched_stats", result.sched_stats, ok);
+  read_counters(root, "flow_stats", result.flow_stats, ok);
   const jsonio::Value* schedule = root.find("schedule");
   const jsonio::Value* placement = root.find("placement");
   const jsonio::Value* routing = root.find("routing");

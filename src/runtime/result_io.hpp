@@ -19,6 +19,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,7 +40,7 @@ struct Value {
   std::vector<std::pair<std::string, Value>> object;
 
   /// First member named `key`, or nullptr (valid on objects only).
-  const Value* find(const std::string& key) const;
+  const Value* find(std::string_view key) const;
 };
 
 /// Parses a complete JSON document; nullopt on any syntax error.

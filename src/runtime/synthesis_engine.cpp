@@ -1,7 +1,6 @@
 #include "runtime/synthesis_engine.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <future>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include "report/json.hpp"
 #include "trace/trace.hpp"
+#include "util/fields.hpp"
 
 namespace fbmb {
 
@@ -18,12 +18,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::string number(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 /// Restart/route tasks run on shared pool workers whose thread-local
@@ -164,12 +158,7 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
 
   cache_.insert(outcome.fingerprint, outcome.result);
   outcome.wall_seconds = seconds_since(t0);
-  telemetry_.record_stage_times(outcome.result.stage_seconds);
-  telemetry_.record_route_stats(outcome.result.routing.stats);
-  telemetry_.record_flow_stats(outcome.result.flow_stats);
-  telemetry_.record_place_stats(outcome.result.place_stats);
-  telemetry_.record_sched_stats(outcome.result.sched_stats);
-  telemetry_.record_synthesis_seconds(outcome.wall_seconds);
+  telemetry_.record_result(outcome.result, outcome.wall_seconds);
   telemetry_.job_finished();
   return outcome;
 }
@@ -187,57 +176,17 @@ std::string SynthesisEngine::telemetry_json(
      << ",\n  \"jobs\": [";
   bool first = true;
   for (const JobOutcome& outcome : outcomes) {
-    const StageTimes& st = outcome.result.stage_seconds;
+    const SynthesisResult& r = outcome.result;
     os << (first ? "" : ",") << "\n    {\"name\": "
        << json_quote(outcome.name) << ", \"fingerprint\": \""
        << outcome.fingerprint.to_hex() << "\", \"cache_hit\": "
        << (outcome.cache_hit ? "true" : "false")
-       << ", \"wall_seconds\": " << number(outcome.wall_seconds)
-       << ", \"stages\": {\"schedule\": " << number(st.schedule)
-       << ", \"refine\": " << number(st.refine)
-       << ", \"place\": " << number(st.place)
-       << ", \"grid_build\": " << number(st.grid_build)
-       << ", \"route\": " << number(st.route)
-       << ", \"retime\": " << number(st.retime) << "}"
-       << ", \"routing\": {\"tasks_routed\": "
-       << outcome.result.routing.stats.tasks_routed
-       << ", \"nodes_expanded\": "
-       << outcome.result.routing.stats.nodes_expanded
-       << ", \"heap_pushes\": " << outcome.result.routing.stats.heap_pushes
-       << ", \"feasibility_rejections\": "
-       << outcome.result.routing.stats.feasibility_rejections
-       << ", \"postponement_steps\": "
-       << outcome.result.routing.stats.postponement_steps
-       << ", \"distance_fields_built\": "
-       << outcome.result.routing.stats.distance_fields_built
-       << ", \"fixpoints_capped\": "
-       << outcome.result.routing.stats.fixpoints_capped << "}"
-       << ", \"flow\": {\"rounds\": " << outcome.result.flow_stats.rounds
-       << ", \"transports_rerouted\": "
-       << outcome.result.flow_stats.transports_rerouted
-       << ", \"transports_reused\": "
-       << outcome.result.flow_stats.transports_reused
-       << ", \"cells_evicted\": "
-       << outcome.result.flow_stats.cells_evicted << "}"
-       << ", \"placement\": {\"proposals\": "
-       << outcome.result.place_stats.proposals
-       << ", \"accepts\": " << outcome.result.place_stats.accepts
-       << ", \"delta_evals\": " << outcome.result.place_stats.delta_evals
-       << ", \"full_evals\": " << outcome.result.place_stats.full_evals
-       << ", \"occupancy_probes\": "
-       << outcome.result.place_stats.occupancy_probes << "}"
-       << ", \"scheduling\": {\"ops_scheduled\": "
-       << outcome.result.sched_stats.ops_scheduled
-       << ", \"heap_pushes\": " << outcome.result.sched_stats.heap_pushes
-       << ", \"heap_pops\": " << outcome.result.sched_stats.heap_pops
-       << ", \"binding_probes\": "
-       << outcome.result.sched_stats.binding_probes
-       << ", \"case1_bindings\": "
-       << outcome.result.sched_stats.case1_bindings
-       << ", \"case2_bindings\": "
-       << outcome.result.sched_stats.case2_bindings << "}"
-       << ", \"completion_time\": "
-       << number(outcome.result.completion_time) << "}";
+       << ", \"wall_seconds\": " << json_number(outcome.wall_seconds)
+       << ", \"stages\": {" << json_fields(r.stage_seconds, json_number)
+       << "}, ";
+    Telemetry::write_counters(os, r.routing.stats, r.flow_stats, r.place_stats,
+                              r.sched_stats);
+    os << ", \"completion_time\": " << json_number(r.completion_time) << "}";
     first = false;
   }
   os << "\n  ]\n}";

@@ -1,21 +1,26 @@
 // Per-stage telemetry for the concurrent synthesis runtime.
 //
 // Telemetry aggregates, across every job an engine executes: wall time per
-// synthesis stage (schedule / refine / place / route / retime), result-cache
-// hits and misses, jobs submitted / completed / in flight, and the work
-// queue's high-water depth. Counters are atomic so job workers record
-// concurrently without locking; snapshot() reads a consistent-enough view
-// for reporting (individual counters are exact; cross-counter skew is
-// bounded by whatever is still in flight).
+// synthesis stage (schedule / refine / place / grid_build / route /
+// retime), the four per-result counter structs (RouteStats, FlowStats,
+// PlaceStats, SchedStats), result-cache hits and misses, jobs submitted /
+// completed / cancelled / in flight, and the work queue's high-water
+// depth. The totals are one plain Snapshot behind a mutex: job workers
+// record a few times per job, so the lock is uncontended in practice, and
+// snapshot() copies a view that is consistent across counters. Stages and
+// counters are summed and written by looping over each struct's field
+// table (util/fields.hpp), so a new counter is one member plus one table
+// row.
 //
 // ScopedStageTimer is the lightweight span primitive: it measures the
 // lifetime of a scope and adds it to a double, e.g. a StageTimes field.
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iosfwd>
+#include <mutex>
 #include <string>
 
 #include "core/synthesis.hpp"
@@ -62,38 +67,25 @@ class Telemetry {
     SchedStats scheduling;           ///< summed scheduler counters (cache misses)
   };
 
-  void record_cache_hit() { cache_hits_.fetch_add(1); }
-  void record_cache_miss() { cache_misses_.fetch_add(1); }
+  void record_cache_hit() { update([](Snapshot& s) { ++s.cache_hits; }); }
+  void record_cache_miss() { update([](Snapshot& s) { ++s.cache_misses; }); }
 
-  void job_submitted() { jobs_submitted_.fetch_add(1); }
-  void job_started() { jobs_in_flight_.fetch_add(1); }
+  void job_submitted() { update([](Snapshot& s) { ++s.jobs_submitted; }); }
+  void job_started() { update([](Snapshot& s) { ++s.jobs_in_flight; }); }
   /// A job that stopped with SynthesisCancelled (deadline / drain /
   /// client disconnect) — counted in addition to job_finished().
-  void job_cancelled() { jobs_cancelled_.fetch_add(1); }
+  void job_cancelled() { update([](Snapshot& s) { ++s.jobs_cancelled; }); }
   void job_finished() {
-    jobs_in_flight_.fetch_sub(1);
-    jobs_completed_.fetch_add(1);
+    update([](Snapshot& s) {
+      --s.jobs_in_flight;
+      ++s.jobs_completed;
+    });
   }
 
-  /// Folds one completed job's stage breakdown into the aggregate.
-  void record_stage_times(const StageTimes& stages);
-
-  /// Folds one completed job's router counters into the aggregate.
-  void record_route_stats(const RouteStats& stats);
-
-  /// Folds one completed job's route–retime fixpoint reuse counters into
-  /// the aggregate (rounds, re-routed / replayed transports, evictions).
-  void record_flow_stats(const FlowStats& stats);
-
-  /// Folds one completed job's placer counters into the aggregate.
-  void record_place_stats(const PlaceStats& stats);
-
-  /// Folds one completed job's scheduler counters into the aggregate.
-  void record_sched_stats(const SchedStats& stats);
-
-  void record_synthesis_seconds(double seconds) {
-    add(synthesis_seconds_, seconds);
-  }
+  /// Folds one completed (cache-missing) job into the totals: its stage
+  /// seconds, its four counter structs (only their tabled counters;
+  /// FlowStats::round_details stay per-job) and its wall time.
+  void record_result(const SynthesisResult& result, double wall_seconds);
 
   void record_queue_depth(std::uint64_t depth);
 
@@ -105,51 +97,22 @@ class Telemetry {
   /// The snapshot as a JSON object (schema documented in docs/RUNTIME.md).
   static std::string to_json(const Snapshot& snapshot);
 
+  /// Writes `"routing": {...}, "flow": {...}, "placement": {...},
+  /// "scheduling": {...}`, the four counter objects that to_json's totals
+  /// and SynthesisEngine::telemetry_json's per-job entries share.
+  static void write_counters(std::ostream& os, const RouteStats& routing,
+                             const FlowStats& flow, const PlaceStats& placement,
+                             const SchedStats& scheduling);
+
  private:
-  static void add(std::atomic<double>& sink, double value) {
-    // fetch_add on atomic<double> is C++20; keep a CAS loop so the TU also
-    // builds with libstdc++ configurations that lack the FP overload.
-    double current = sink.load(std::memory_order_relaxed);
-    while (!sink.compare_exchange_weak(current, current + value)) {
-    }
+  template <class Change>
+  void update(Change change) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    change(totals_);
   }
 
-  std::atomic<double> stage_schedule_{0.0};
-  std::atomic<double> stage_refine_{0.0};
-  std::atomic<double> stage_place_{0.0};
-  std::atomic<double> stage_grid_build_{0.0};
-  std::atomic<double> stage_route_{0.0};
-  std::atomic<double> stage_retime_{0.0};
-  std::atomic<double> synthesis_seconds_{0.0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> jobs_submitted_{0};
-  std::atomic<std::uint64_t> jobs_completed_{0};
-  std::atomic<std::uint64_t> jobs_cancelled_{0};
-  std::atomic<std::uint64_t> jobs_in_flight_{0};
-  std::atomic<std::uint64_t> max_queue_depth_{0};
-  std::atomic<std::uint64_t> route_tasks_routed_{0};
-  std::atomic<std::uint64_t> route_nodes_expanded_{0};
-  std::atomic<std::uint64_t> route_heap_pushes_{0};
-  std::atomic<std::uint64_t> route_feasibility_rejections_{0};
-  std::atomic<std::uint64_t> route_postponement_steps_{0};
-  std::atomic<std::uint64_t> route_distance_fields_built_{0};
-  std::atomic<std::uint64_t> route_fixpoints_capped_{0};
-  std::atomic<std::uint64_t> flow_rounds_{0};
-  std::atomic<std::uint64_t> flow_transports_rerouted_{0};
-  std::atomic<std::uint64_t> flow_transports_reused_{0};
-  std::atomic<std::uint64_t> flow_cells_evicted_{0};
-  std::atomic<std::uint64_t> place_proposals_{0};
-  std::atomic<std::uint64_t> place_accepts_{0};
-  std::atomic<std::uint64_t> place_delta_evals_{0};
-  std::atomic<std::uint64_t> place_full_evals_{0};
-  std::atomic<std::uint64_t> place_occupancy_probes_{0};
-  std::atomic<std::uint64_t> sched_ops_scheduled_{0};
-  std::atomic<std::uint64_t> sched_heap_pushes_{0};
-  std::atomic<std::uint64_t> sched_heap_pops_{0};
-  std::atomic<std::uint64_t> sched_binding_probes_{0};
-  std::atomic<std::uint64_t> sched_case1_bindings_{0};
-  std::atomic<std::uint64_t> sched_case2_bindings_{0};
+  mutable std::mutex mutex_;
+  Snapshot totals_;
 };
 
 }  // namespace fbmb

@@ -45,6 +45,7 @@
 #include "graph/sequencing_graph.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "schedule/types.hpp"
+#include "util/fields.hpp"
 
 namespace fbmb {
 
@@ -58,15 +59,17 @@ struct SchedStats {
   std::uint64_t case1_bindings = 0;  ///< Case I in-place bindings
   std::uint64_t case2_bindings = 0;  ///< Case II / BA earliest-ready picks
 
-  SchedStats& operator+=(const SchedStats& o) {
-    ops_scheduled += o.ops_scheduled;
-    heap_pushes += o.heap_pushes;
-    heap_pops += o.heap_pops;
-    binding_probes += o.binding_probes;
-    case1_bindings += o.case1_bindings;
-    case2_bindings += o.case2_bindings;
-    return *this;
-  }
+  /// Every counter above, as {JSON key, member} (util/fields.hpp).
+  static constexpr Field<SchedStats, std::uint64_t> kFields[] = {
+      {"ops_scheduled", &SchedStats::ops_scheduled},
+      {"heap_pushes", &SchedStats::heap_pushes},
+      {"heap_pops", &SchedStats::heap_pops},
+      {"binding_probes", &SchedStats::binding_probes},
+      {"case1_bindings", &SchedStats::case1_bindings},
+      {"case2_bindings", &SchedStats::case2_bindings},
+  };
+
+  SchedStats& operator+=(const SchedStats& o) { return add_fields(*this, o); }
 };
 
 /// One scheduling pass over a fixed (graph, allocation, wash model,

@@ -250,19 +250,15 @@ TEST(FlowInvariants, SpillRoundTripsFlowCounters) {
 /// Telemetry must aggregate and emit the new counters.
 TEST(FlowInvariants, TelemetryCarriesFlowCounters) {
   Telemetry telemetry;
-  FlowStats flow;
-  flow.rounds = 3;
-  flow.transports_rerouted = 40;
-  flow.transports_reused = 20;
-  flow.cells_evicted = 7;
-  telemetry.record_flow_stats(flow);
-  telemetry.record_flow_stats(flow);
-  RouteStats route;
-  route.fixpoints_capped = 1;
-  telemetry.record_route_stats(route);
-  StageTimes stages;
-  stages.grid_build = 0.25;
-  telemetry.record_stage_times(stages);
+  SynthesisResult result;
+  result.flow_stats.rounds = 3;
+  result.flow_stats.transports_rerouted = 40;
+  result.flow_stats.transports_reused = 20;
+  result.flow_stats.cells_evicted = 7;
+  telemetry.record_result(result, 0.0);
+  result.routing.stats.fixpoints_capped = 1;
+  result.stage_seconds.grid_build = 0.25;
+  telemetry.record_result(result, 0.0);
 
   const Telemetry::Snapshot snap = telemetry.snapshot();
   EXPECT_EQ(snap.flow.rounds, 6u);

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench_suite/benchmarks.hpp"
 #include "core/synthesis.hpp"
+#include "runtime/result_cache.hpp"
 
 namespace fbmb {
 namespace {
@@ -135,6 +140,67 @@ TEST(ResultIoNegative, CorruptedFieldInsideValidDocumentIsRejected) {
   ASSERT_NE(tail, std::string::npos);
   corrupted += json.substr(tail);
   EXPECT_FALSE(synthesis_result_from_json(corrupted).has_value());
+}
+
+/// `json` with the number that follows the first `after` replaced by
+/// `value`.
+std::string replace_number(std::string json, std::string_view after,
+                           std::string_view value) {
+  const std::size_t at = json.find(after);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + after.size();
+  const std::size_t end = json.find_first_not_of("-+.eE0123456789", begin);
+  return json.replace(begin, end - begin, value);
+}
+
+TEST(ResultIoNegative, OutOfRangeOrFractionalIntegersAreRejected) {
+  // An integer field must hold an integer its type represents; anything
+  // else is malformed, never cast (1e400 parses as inf, and casting it or
+  // 1e10 to int, or -1 to a counter, is undefined).
+  Benchmark pcr = make_pcr();
+  const SynthesisResult result =
+      synthesize_dcsa(pcr.graph, Allocation(pcr.allocation), pcr.wash);
+  const std::string json = synthesis_result_to_json(result);
+  ASSERT_FALSE(result.routing.paths.empty());
+
+  std::vector<std::string> corrupted;
+  for (const char* field : {"\"op\": ", "\"x\": ", "\"cells\": [["}) {
+    for (const char* value : {"1e400", "1e10", "-1e12", "3.5"}) {
+      corrupted.push_back(replace_number(json, field, value));
+      ASSERT_NE(corrupted.back(), json) << field << value;
+      EXPECT_FALSE(synthesis_result_from_json(corrupted.back()).has_value())
+          << field << value;
+    }
+  }
+  for (const char* value : {"-1", "1e30"}) {
+    corrupted.push_back(replace_number(json, "\"proposals\": ", value));
+    ASSERT_NE(corrupted.back(), json) << value;
+    EXPECT_FALSE(synthesis_result_from_json(corrupted.back()).has_value())
+        << "proposals " << value;
+  }
+
+  // A spill holding the intact result (key 0) and every corrupted copy
+  // (keys 1..n) loads the intact entry alone.
+  const std::string path =
+      ::testing::TempDir() + "msynth_out_of_range_spill.json";
+  {
+    std::ofstream out(path);
+    out << "{\"format\": \"msynth-result-cache\", \"version\": 1, "
+           "\"entries\": [\n{\"fingerprint\": \""
+        << Fingerprint{0, 0}.to_hex() << "\", \"result\": " << json << "}";
+    for (std::size_t i = 0; i < corrupted.size(); ++i) {
+      out << ",\n{\"fingerprint\": \"" << Fingerprint{i + 1, 0}.to_hex()
+          << "\", \"result\": " << corrupted[i] << "}";
+    }
+    out << "\n]}\n";
+  }
+  ResultCache cache(64);
+  EXPECT_EQ(cache.load_json(path), 1u);
+  EXPECT_TRUE(cache.lookup(Fingerprint{0, 0}).has_value());
+  for (std::size_t i = 0; i < corrupted.size(); ++i) {
+    EXPECT_FALSE(cache.lookup(Fingerprint{i + 1, 0}).has_value()) << i;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -182,6 +182,133 @@ TEST(SynthesisEngine, TelemetryJsonContainsPerJobSpans) {
   EXPECT_GT(snapshot.scheduling.binding_probes, 0u);
 }
 
+// Golden bytes pin every key, its position and its value's format: each
+// counter holds a distinct value (the i-th counter i + 1, the j-th stage
+// (j + 1) / 8), so a swapped, dropped or mis-keyed row changes the text.
+TEST(Telemetry, ToJsonMatchesGoldenBytes) {
+  Telemetry::Snapshot s;
+  s.stage_seconds.schedule = 0.125;
+  s.stage_seconds.refine = 0.25;
+  s.stage_seconds.place = 0.375;
+  s.stage_seconds.grid_build = 0.5;
+  s.stage_seconds.route = 0.625;
+  s.stage_seconds.retime = 0.75;
+  s.cache_hits = 1;
+  s.cache_misses = 2;
+  s.jobs_submitted = 3;
+  s.jobs_completed = 4;
+  s.jobs_cancelled = 5;
+  s.jobs_in_flight = 6;
+  s.routing.tasks_routed = 7;
+  s.routing.nodes_expanded = 8;
+  s.routing.heap_pushes = 9;
+  s.routing.feasibility_rejections = 10;
+  s.routing.postponement_steps = 11;
+  s.routing.distance_fields_built = 12;
+  s.routing.fixpoints_capped = 13;
+  s.flow.rounds = 14;
+  s.flow.transports_rerouted = 15;
+  s.flow.transports_reused = 16;
+  s.flow.cells_evicted = 17;
+  s.placement.proposals = 18;
+  s.placement.accepts = 19;
+  s.placement.delta_evals = 20;
+  s.placement.full_evals = 21;
+  s.placement.occupancy_probes = 22;
+  s.scheduling.ops_scheduled = 23;
+  s.scheduling.heap_pushes = 24;
+  s.scheduling.heap_pops = 25;
+  s.scheduling.binding_probes = 26;
+  s.scheduling.case1_bindings = 27;
+  s.scheduling.case2_bindings = 28;
+  s.max_queue_depth = 29;
+  s.synthesis_seconds = 0.875;
+  EXPECT_EQ(Telemetry::to_json(s),
+            R"({"stages": {"schedule": 0.125, "refine": 0.25, )"
+            R"("place": 0.375, "grid_build": 0.5, "route": 0.625, )"
+            R"("retime": 0.75, "total": 2.625}, )"
+            R"("cache": {"hits": 1, "misses": 2}, )"
+            R"("jobs": {"submitted": 3, "completed": 4, "cancelled": 5, )"
+            R"("in_flight": 6}, )"
+            R"("routing": {"tasks_routed": 7, "nodes_expanded": 8, )"
+            R"("heap_pushes": 9, "feasibility_rejections": 10, )"
+            R"("postponement_steps": 11, "distance_fields_built": 12, )"
+            R"("fixpoints_capped": 13}, )"
+            R"("flow": {"rounds": 14, "transports_rerouted": 15, )"
+            R"("transports_reused": 16, "cells_evicted": 17}, )"
+            R"("placement": {"proposals": 18, "accepts": 19, )"
+            R"("delta_evals": 20, "full_evals": 21, "occupancy_probes": 22}, )"
+            R"("scheduling": {"ops_scheduled": 23, "heap_pushes": 24, )"
+            R"("heap_pops": 25, "binding_probes": 26, "case1_bindings": 27, )"
+            R"("case2_bindings": 28}, )"
+            R"("max_queue_depth": 29, "synthesis_seconds": 0.875})");
+}
+
+TEST(SynthesisEngine, TelemetryJsonJobMatchesGoldenBytes) {
+  JobOutcome outcome;
+  outcome.name = "PCR \"v2\"";
+  outcome.fingerprint = Fingerprint{0x0123456789abcdefULL, 0xfedcba98ULL};
+  outcome.cache_hit = true;
+  outcome.wall_seconds = 1.0 / 3.0;
+  SynthesisResult& r = outcome.result;
+  r.stage_seconds.schedule = 0.125;
+  r.stage_seconds.refine = 0.25;
+  r.stage_seconds.place = 0.375;
+  r.stage_seconds.grid_build = 0.5;
+  r.stage_seconds.route = 0.625;
+  r.stage_seconds.retime = 0.75;
+  r.routing.stats.tasks_routed = 1;
+  r.routing.stats.nodes_expanded = 2;
+  r.routing.stats.heap_pushes = 3;
+  r.routing.stats.feasibility_rejections = 4;
+  r.routing.stats.postponement_steps = 5;
+  r.routing.stats.distance_fields_built = 6;
+  r.routing.stats.fixpoints_capped = 7;
+  r.flow_stats.rounds = 8;
+  r.flow_stats.transports_rerouted = 9;
+  r.flow_stats.transports_reused = 10;
+  r.flow_stats.cells_evicted = 11;
+  r.place_stats.proposals = 12;
+  r.place_stats.accepts = 13;
+  r.place_stats.delta_evals = 14;
+  r.place_stats.full_evals = 15;
+  r.place_stats.occupancy_probes = 16;
+  r.sched_stats.ops_scheduled = 17;
+  r.sched_stats.heap_pushes = 18;
+  r.sched_stats.heap_pops = 19;
+  r.sched_stats.binding_probes = 20;
+  r.sched_stats.case1_bindings = 21;
+  r.sched_stats.case2_bindings = 22;
+  r.completion_time = 123.4567890123;
+
+  const std::string json = SynthesisEngine().telemetry_json({outcome});
+  const std::string open = "\"jobs\": [\n    ";
+  const std::size_t begin = json.find(open);
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t first = begin + open.size();
+  const std::size_t end = json.rfind("\n  ]\n}");
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(json.substr(first, end - first),
+            R"({"name": "PCR \"v2\"", )"
+            R"("fingerprint": "00000000fedcba980123456789abcdef", )"
+            R"("cache_hit": true, "wall_seconds": 0.333333333, )"
+            R"("stages": {"schedule": 0.125, "refine": 0.25, )"
+            R"("place": 0.375, "grid_build": 0.5, "route": 0.625, )"
+            R"("retime": 0.75}, )"
+            R"("routing": {"tasks_routed": 1, "nodes_expanded": 2, )"
+            R"("heap_pushes": 3, "feasibility_rejections": 4, )"
+            R"("postponement_steps": 5, "distance_fields_built": 6, )"
+            R"("fixpoints_capped": 7}, )"
+            R"("flow": {"rounds": 8, "transports_rerouted": 9, )"
+            R"("transports_reused": 10, "cells_evicted": 11}, )"
+            R"("placement": {"proposals": 12, "accepts": 13, )"
+            R"("delta_evals": 14, "full_evals": 15, "occupancy_probes": 16}, )"
+            R"("scheduling": {"ops_scheduled": 17, "heap_pushes": 18, )"
+            R"("heap_pops": 19, "binding_probes": 20, "case1_bindings": 21, )"
+            R"("case2_bindings": 22}, )"
+            R"("completion_time": 123.456789})");
+}
+
 TEST(SynthesisEngine, StageSpansCoverTheFlow) {
   const auto bench = make_cpa();
   SynthesisJob job;

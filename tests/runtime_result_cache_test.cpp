@@ -351,6 +351,57 @@ TEST(ResultIo, FlowStatsRoundTripAndBackwardCompat) {
   EXPECT_EQ(old->flow_stats.cells_evicted, 0u);
 }
 
+TEST(ResultIo, RouteStatsObjectIsOptional) {
+  SynthesisResult result = tiny_result(42.0);
+  result.routing.stats.tasks_routed = 1;
+  result.routing.stats.nodes_expanded = 2;
+  result.routing.stats.heap_pushes = 3;
+  result.routing.stats.feasibility_rejections = 4;
+  result.routing.stats.postponement_steps = 5;
+  result.routing.stats.distance_fields_built = 6;
+  result.routing.stats.fixpoints_capped = 7;
+  result.routing.conflict_postponements = 8;
+
+  // Spills written before the router counters existed have no
+  // "route_stats" object; they load with every route counter at zero.
+  std::string legacy = synthesis_result_to_json(result);
+  const std::size_t at = legacy.find("\"route_stats\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = legacy.find("}", at);
+  ASSERT_NE(end, std::string::npos);
+  // Remove `"route_stats": {...}, ` — the key through its closing brace
+  // plus the trailing comma-space separator.
+  legacy.erase(at, end - at + 3);
+  ASSERT_EQ(legacy.find("route_stats"), std::string::npos);
+  const auto old = synthesis_result_from_json(legacy);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->completion_time, 42.0);
+  EXPECT_EQ(old->routing.conflict_postponements, 8);
+  EXPECT_EQ(old->routing.stats.tasks_routed, 0u);
+  EXPECT_EQ(old->routing.stats.nodes_expanded, 0u);
+  EXPECT_EQ(old->routing.stats.heap_pushes, 0u);
+  EXPECT_EQ(old->routing.stats.feasibility_rejections, 0u);
+  EXPECT_EQ(old->routing.stats.postponement_steps, 0u);
+  EXPECT_EQ(old->routing.stats.distance_fields_built, 0u);
+  EXPECT_EQ(old->routing.stats.fixpoints_capped, 0u);
+}
+
+TEST(ResultIo, CounterObjectMissingAKeyIsRejected) {
+  // Only a whole counter object may be missing: inside a present
+  // place_stats object every counter is required.
+  SynthesisResult result = tiny_result(42.0);
+  result.place_stats.proposals = 13200;
+  result.place_stats.accepts = 5607;
+  std::string json = synthesis_result_to_json(result);
+  ASSERT_TRUE(synthesis_result_from_json(json).has_value());
+  const std::string accepts = "\"accepts\": 5607, ";
+  const std::size_t at = json.find(accepts);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LT(json.find("\"place_stats\""), at);
+  json.erase(at, accepts.size());
+  EXPECT_FALSE(synthesis_result_from_json(json).has_value());
+}
+
 TEST(ResultIo, DoublesPrintExactlyAsPercent17g) {
   // Served bodies and spills must stay byte-identical across writers, so
   // every double is printed as %.17g prints it: a shortest round-trip
