@@ -13,7 +13,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -23,8 +22,10 @@
 
 #include "bench_suite/benchmarks.hpp"
 #include "core/flow_core.hpp"
+#include "oracle/reference_flow.hpp"
 #include "place/constructive_placer.hpp"
 #include "place/sa_placer.hpp"
+#include "report/json.hpp"
 #include "report/table.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/fields.hpp"
@@ -105,12 +106,6 @@ void time_rep(const Scenario& s, const Benchmark& bench, FixpointFn fixpoint,
     best.routing = std::move(routing);
     best.flow = std::move(flow);
   }
-}
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -204,9 +199,9 @@ int main(int argc, char** argv) {
 
       json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
            << "\", \"transports\": " << s.schedule.transports.size()
-           << ", \"reference_seconds\": " << num(reference.seconds)
-           << ", \"flat_seconds\": " << num(incremental.seconds)
-           << ", \"speedup\": " << num(speedup)
+           << ", \"reference_seconds\": " << json_number(reference.seconds)
+           << ", \"flat_seconds\": " << json_number(incremental.seconds)
+           << ", \"speedup\": " << json_number(speedup)
            << ", \"identical\": " << (identical ? "true" : "false")
            << ", \"flow\": {" << json_fields(flow)
            << ", \"rounds_detail\": [";
@@ -214,13 +209,14 @@ int main(int argc, char** argv) {
         const FlowRound& round = flow.round_details[r];
         const std::uint64_t total =
             round.transports_rerouted + round.transports_reused;
+        const double reuse_fraction =
+            total ? static_cast<double>(round.transports_reused) /
+                        static_cast<double>(total)
+                  : 0.0;
         json << (r ? "," : "") << "{\"rerouted\": "
              << round.transports_rerouted
              << ", \"reused\": " << round.transports_reused
-             << ", \"reuse_fraction\": "
-             << num(total ? static_cast<double>(round.transports_reused) /
-                                static_cast<double>(total)
-                          : 0.0)
+             << ", \"reuse_fraction\": " << json_number(reuse_fraction)
              << "}";
       }
       json << "]}}";
@@ -233,8 +229,8 @@ int main(int argc, char** argv) {
       speedup_count_multi
           ? std::exp(log_speedup_sum_multi / speedup_count_multi)
           : 0.0;
-  json << "\n], \"geomean_speedup\": " << num(geomean)
-       << ", \"geomean_speedup_multi_round\": " << num(geomean_multi)
+  json << "\n], \"geomean_speedup\": " << json_number(geomean)
+       << ", \"geomean_speedup_multi_round\": " << json_number(geomean_multi)
        << ", \"multi_round_configs\": " << speedup_count_multi << "}";
 
   std::cout << "ROUTE-RETIME FIXPOINT: incremental core vs from-scratch "

@@ -17,7 +17,6 @@
 //   build/bench/place_perf [--json-out FILE]
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -25,9 +24,10 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "oracle/reference_placer.hpp"
 #include "place/constructive_placer.hpp"
-#include "place/reference_placer.hpp"
 #include "place/sa_placer.hpp"
+#include "report/json.hpp"
 #include "report/table.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/fields.hpp"
@@ -124,12 +124,6 @@ bool identical_baseline(const Scenario& s, const Placement& a,
   return true;
 }
 
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,10 +190,10 @@ int main(int argc, char** argv) {
     json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
          << "\", \"components\": " << s.alloc.size()
          << ", \"nets\": " << s.nets.size()
-         << ", \"reference_seconds\": " << num(ref_s)
-         << ", \"core_seconds\": " << num(core_s)
-         << ", \"speedup\": " << num(speedup)
-         << ", \"proposals_per_second\": " << num(proposals_per_s)
+         << ", \"reference_seconds\": " << json_number(ref_s)
+         << ", \"core_seconds\": " << json_number(core_s)
+         << ", \"speedup\": " << json_number(speedup)
+         << ", \"proposals_per_second\": " << json_number(proposals_per_s)
          << ", \"identical\": " << (identical(s, core, ref) ? "true" : "false")
          << ", \"placement\": {" << json_fields(stats) << "}}";
     first = false;
@@ -233,9 +227,9 @@ int main(int argc, char** argv) {
                    format_double(ba_speedup, 2), "-", "-"});
     json << ",\n  {\"name\": \"" << b.name
          << "\", \"components\": " << b.alloc.size()
-         << ", \"reference_seconds\": " << num(ba_ref_s)
-         << ", \"core_seconds\": " << num(ba_core_s)
-         << ", \"speedup\": " << num(ba_speedup)
+         << ", \"reference_seconds\": " << json_number(ba_ref_s)
+         << ", \"core_seconds\": " << json_number(ba_core_s)
+         << ", \"speedup\": " << json_number(ba_speedup)
          << ", \"identical\": " << (ba_identical ? "true" : "false") << "}";
   }
   json << "\n]}";

@@ -11,7 +11,6 @@
 //   build/bench/route_perf [--json-out FILE]
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -19,9 +18,10 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "oracle/reference_router.hpp"
 #include "place/sa_placer.hpp"
+#include "report/json.hpp"
 #include "report/table.hpp"
-#include "route/reference_router.hpp"
 #include "route/router.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/strings.hpp"
@@ -57,25 +57,6 @@ Scenario prepare(const Benchmark& bench) {
   return s;
 }
 
-bool identical(const RoutingResult& a, const RoutingResult& b) {
-  if (a.paths.size() != b.paths.size() || a.delays != b.delays ||
-      a.total_wash_time != b.total_wash_time ||
-      a.conflict_postponements != b.conflict_postponements) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.paths.size(); ++i) {
-    const RoutedPath& p = a.paths[i];
-    const RoutedPath& q = b.paths[i];
-    if (p.transport_id != q.transport_id || p.cells != q.cells ||
-        p.start != q.start || p.transport_end != q.transport_end ||
-        p.cache_until != q.cache_until ||
-        p.wash_duration != q.wash_duration || p.delay != q.delay) {
-      return false;
-    }
-  }
-  return true;
-}
-
 template <typename RouteFn>
 double time_route(const Scenario& s, const WashModel& wash,
                   const RouterOptions& opts, RouteFn route,
@@ -91,12 +72,6 @@ double time_route(const Scenario& s, const WashModel& wash,
     last = std::move(result);
   }
   return best;
-}
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -139,7 +114,8 @@ int main(int argc, char** argv) {
         },
         ref);
 
-    if (!identical(flat, ref)) {
+    const bool identical = identical_routing(flat, ref);
+    if (!identical) {
       all_equal = false;
       std::cerr << "MISMATCH: " << s.name
                 << ": flat router result differs from reference\n";
@@ -156,10 +132,10 @@ int main(int argc, char** argv) {
 
     json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
          << "\", \"transports\": " << s.schedule.transports.size()
-         << ", \"reference_seconds\": " << num(ref_s)
-         << ", \"flat_seconds\": " << num(flat_s)
-         << ", \"speedup\": " << num(speedup)
-         << ", \"identical\": " << (identical(flat, ref) ? "true" : "false")
+         << ", \"reference_seconds\": " << json_number(ref_s)
+         << ", \"flat_seconds\": " << json_number(flat_s)
+         << ", \"speedup\": " << json_number(speedup)
+         << ", \"identical\": " << (identical ? "true" : "false")
          << ", \"routing\": {\"tasks_routed\": " << flat.stats.tasks_routed
          << ", \"nodes_expanded\": " << flat.stats.nodes_expanded
          << ", \"heap_pushes\": " << flat.stats.heap_pushes

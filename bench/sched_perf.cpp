@@ -14,7 +14,6 @@
 //   build/bench/sched_perf [--json-out FILE]
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -23,9 +22,10 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "oracle/reference_scheduler.hpp"
+#include "report/json.hpp"
 #include "report/table.hpp"
 #include "schedule/list_scheduler.hpp"
-#include "schedule/reference_scheduler.hpp"
 #include "schedule/scheduler_core.hpp"
 #include "util/fields.hpp"
 #include "util/strings.hpp"
@@ -70,12 +70,6 @@ double time_schedule(const Scenario& s, SchedFn schedule, Schedule& last) {
     if (rep == 0 || seconds < best) best = seconds;
   }
   return best;
-}
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -145,10 +139,10 @@ int main(int argc, char** argv) {
     json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
          << "\", \"operations\": " << s.graph->operation_count()
          << ", \"components\": " << s.alloc.size()
-         << ", \"reference_seconds\": " << num(ref_s)
-         << ", \"core_seconds\": " << num(core_s)
-         << ", \"speedup\": " << num(speedup)
-         << ", \"ops_per_second\": " << num(ops_per_s)
+         << ", \"reference_seconds\": " << json_number(ref_s)
+         << ", \"core_seconds\": " << json_number(core_s)
+         << ", \"speedup\": " << json_number(speedup)
+         << ", \"ops_per_second\": " << json_number(ops_per_s)
          << ", \"identical\": " << (equal ? "true" : "false")
          << ", \"scheduling\": {" << json_fields(stats) << "}}";
     first = false;

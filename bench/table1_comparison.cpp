@@ -115,11 +115,13 @@ int main(int argc, char** argv) {
 
   const Telemetry::Snapshot snap = engine.telemetry().snapshot();
   std::cout << "\nEngine: " << engine.pool().thread_count() << " threads, "
-            << snap.jobs_completed << " jobs, stage walls (s): schedule "
-            << format_double(snap.stage_seconds.schedule, 3) << ", refine "
-            << format_double(snap.stage_seconds.refine, 3) << ", place "
-            << format_double(snap.stage_seconds.place, 3) << ", route "
-            << format_double(snap.stage_seconds.route, 3) << ", retime "
-            << format_double(snap.stage_seconds.retime, 3) << "\n";
+            << snap.jobs_completed << " jobs, stage walls (s):";
+  const char* separator = " ";
+  for (const auto& field : StageTimes::kFields) {
+    std::cout << separator << field.key << " "
+              << format_double(snap.stage_seconds.*field.member, 3);
+    separator = ", ";
+  }
+  std::cout << "\n";
   return 0;
 }

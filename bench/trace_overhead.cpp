@@ -24,7 +24,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -36,6 +35,7 @@
 #include "core/flow_core.hpp"
 #include "place/constructive_placer.hpp"
 #include "place/sa_placer.hpp"
+#include "report/json.hpp"
 #include "report/table.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "trace/trace.hpp"
@@ -107,12 +107,6 @@ double time_loop_ns(std::size_t iters, Body body) {
   return best;
 }
 
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 struct FixpointRun {
   Schedule schedule;
   RoutingResult routing;
@@ -179,8 +173,8 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\"reps\": " << reps
        << ", \"micro\": {\"iters\": " << kMicroIters
-       << ", \"ns_per_site_disabled\": " << num(ns_per_site_disabled)
-       << ", \"ns_per_event_enabled\": " << num(ns_per_event_enabled)
+       << ", \"ns_per_site_disabled\": " << json_number(ns_per_site_disabled)
+       << ", \"ns_per_event_enabled\": " << json_number(ns_per_event_enabled)
        << "}, \"benchmarks\": [";
 
   bool first = true;
@@ -233,11 +227,11 @@ int main(int argc, char** argv) {
                      format_double((ratio - 1.0) * 100.0, 2) + "%",
                      format_double(projected * 100.0, 4) + "%"});
       json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
-           << "\", \"disabled_seconds\": " << num(off.seconds)
-           << ", \"enabled_seconds\": " << num(on.seconds)
+           << "\", \"disabled_seconds\": " << json_number(off.seconds)
+           << ", \"enabled_seconds\": " << json_number(on.seconds)
            << ", \"events\": " << events
-           << ", \"enabled_overhead\": " << num(ratio - 1.0)
-           << ", \"projected_disabled_overhead\": " << num(projected)
+           << ", \"enabled_overhead\": " << json_number(ratio - 1.0)
+           << ", \"projected_disabled_overhead\": " << json_number(projected)
            << ", \"identical\": " << (identical ? "true" : "false") << "}";
       first = false;
     }
@@ -245,8 +239,10 @@ int main(int argc, char** argv) {
 
   const double geomean_ratio =
       ratio_count ? std::exp(log_ratio_sum / ratio_count) : 1.0;
-  json << "\n], \"geomean_enabled_overhead\": " << num(geomean_ratio - 1.0)
-       << ", \"max_projected_disabled_overhead\": " << num(max_projected)
+  json << "\n], \"geomean_enabled_overhead\": "
+       << json_number(geomean_ratio - 1.0)
+       << ", \"max_projected_disabled_overhead\": "
+       << json_number(max_projected)
        << ", \"identical\": " << (all_identical ? "true" : "false") << "}";
 
   std::cout << "TRACING OVERHEAD (best of " << reps

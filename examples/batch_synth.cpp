@@ -153,14 +153,14 @@ int main(int argc, char** argv) {
   const Telemetry::Snapshot snap = engine.telemetry().snapshot();
   std::cout << "\nTelemetry: " << snap.jobs_completed << " jobs, "
             << snap.cache_hits << " cache hits, " << snap.cache_misses
-            << " misses\n  stage walls (s): schedule "
-            << format_double(snap.stage_seconds.schedule, 3) << ", refine "
-            << format_double(snap.stage_seconds.refine, 3) << ", place "
-            << format_double(snap.stage_seconds.place, 3) << ", grid "
-            << format_double(snap.stage_seconds.grid_build, 3) << ", route "
-            << format_double(snap.stage_seconds.route, 3) << ", retime "
-            << format_double(snap.stage_seconds.retime, 3)
-            << "\n  max queue depth: " << snap.max_queue_depth << "\n";
+            << " misses\n  stage walls (s):";
+  const char* separator = " ";
+  for (const auto& field : StageTimes::kFields) {
+    std::cout << separator << field.key << " "
+              << format_double(snap.stage_seconds.*field.member, 3);
+    separator = ", ";
+  }
+  std::cout << "\n  max queue depth: " << snap.max_queue_depth << "\n";
 
   if (print_json) {
     std::cout << "\n" << engine.telemetry_json(outcomes) << "\n";

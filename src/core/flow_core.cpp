@@ -45,11 +45,11 @@ RoutingResult route_until_consistent(
 
   TRACE_SPAN("stage", "fixpoint");
   const auto build_start = Clock::now();
-  IncrementalRouter router = [&] {
+  RoutingGrid grid = [&] {
     TRACE_SPAN("stage", "grid_build");
-    return IncrementalRouter(chip, allocation, placement, wash_model,
-                             router_options);
+    return RoutingGrid(chip, allocation, placement);
   }();
+  IncrementalRouter router(grid, wash_model, router_options);
   stages.grid_build += seconds_since(build_start);
 
   for (int round_index = 0;; ++round_index) {
@@ -69,110 +69,27 @@ RoutingResult route_until_consistent(
     stats_total += routing.stats;
     postponements += routing.conflict_postponements;
 
-    if (!any_delay(routing)) {
+    // The round after the cap is the reconciliation round: it routes the
+    // schedule retimed by the last capped round and is returned whatever
+    // its delays. Those are baked into its path starts (path.start >=
+    // departure) but never reach the schedule, so the pair is not
+    // consistent (RouterOptions::max_fixpoint_rounds).
+    const bool reconciliation = round_index == max_rounds;
+    if (reconciliation || !any_delay(routing)) {
+      if (reconciliation) stats_total.fixpoints_capped = 1;
       routing.conflict_postponements = postponements;
       routing.stats = stats_total;
       return routing;
     }
-    if (round_index + 1 >= max_rounds) {
-      // Round cap with delays pending: apply the final retiming, then
-      // route once more against the retimed schedule rather than return
-      // the pre-retiming paths. The reconciliation round's own delays (if
-      // any) are baked into its path starts (path.start >= departure) but
-      // never reach the schedule, so the pair is not consistent
-      // (RouterOptions::max_fixpoint_rounds).
+    if (round_index + 1 == max_rounds) {
       FBMB_WARN("routing still postponing after " << max_rounds
                                                   << " rounds");
-      const auto retime_start = Clock::now();
-      {
-        TRACE_SPAN("stage", "retime");
-        apply_transport_delays(schedule, graph, routing.delays);
-      }
-      stages.retime += seconds_since(retime_start);
-
-      FlowRound final_round;
-      double final_reset = 0.0;
-      const auto final_start = Clock::now();
-      RoutingResult final_routing;
-      {
-        TRACE_SPAN("stage", "route_round");
-        final_routing = router.route_round(schedule, &final_round,
-                                           &final_reset, checkpoint);
-      }
-      stages.route += seconds_since(final_start) - final_reset;
-      stages.grid_build += final_reset;
-      fold_round(flow, final_round);
-      stats_total += final_routing.stats;
-      stats_total.fixpoints_capped = 1;
-      postponements += final_routing.conflict_postponements;
-      final_routing.conflict_postponements = postponements;
-      final_routing.stats = stats_total;
-      return final_routing;
     }
     const auto retime_start = Clock::now();
     {
       TRACE_SPAN("stage", "retime");
       apply_transport_delays(schedule, graph, routing.delays);
     }
-    stages.retime += seconds_since(retime_start);
-  }
-}
-
-// The reference fixpoint is deliberately left uninstrumented: it is the
-// differential oracle, not a production path.
-RoutingResult route_until_consistent_reference(
-    Schedule& schedule, const SequencingGraph& graph,
-    const Allocation& allocation, const ChipSpec& chip,
-    const Placement& placement, const WashModel& wash_model,
-    const RouterOptions& router_options, StageTimes& stages,
-    const std::function<void(const char*)>& checkpoint, FlowStats* flow) {
-  const int max_rounds = std::max(1, router_options.max_fixpoint_rounds);
-  int postponements = 0;
-  RouteStats stats_total;
-
-  auto route_once = [&]() {
-    if (checkpoint) checkpoint("route");
-    const auto build_start = Clock::now();
-    RoutingGrid grid(chip, allocation, placement);
-    stages.grid_build += seconds_since(build_start);
-    const auto route_start = Clock::now();
-    RoutingResult routing =
-        route_transports(grid, schedule, wash_model, router_options);
-    stages.route += seconds_since(route_start);
-    if (flow) {
-      FlowRound round;
-      round.transports_rerouted = schedule.transports.size();
-      fold_round(flow, round);
-    }
-    stats_total += routing.stats;
-    postponements += routing.conflict_postponements;
-    return routing;
-  };
-
-  for (int round_index = 0;; ++round_index) {
-    RoutingResult routing = route_once();
-    if (!any_delay(routing)) {
-      routing.conflict_postponements = postponements;
-      routing.stats = stats_total;
-      return routing;
-    }
-    if (round_index + 1 >= max_rounds) {
-      // Same cap-path reconciliation as the incremental core (the bugfix
-      // applies to both, keeping them bit-identical): retime, then one
-      // final from-scratch route against the retimed schedule.
-      FBMB_WARN("routing still postponing after " << max_rounds
-                                                  << " rounds");
-      const auto retime_start = Clock::now();
-      apply_transport_delays(schedule, graph, routing.delays);
-      stages.retime += seconds_since(retime_start);
-      RoutingResult final_routing = route_once();
-      stats_total.fixpoints_capped = 1;
-      final_routing.conflict_postponements = postponements;
-      final_routing.stats = stats_total;
-      return final_routing;
-    }
-    const auto retime_start = Clock::now();
-    apply_transport_delays(schedule, graph, routing.delays);
     stages.retime += seconds_since(retime_start);
   }
 }

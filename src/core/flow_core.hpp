@@ -8,22 +8,22 @@
 // later operations on its component, and with them the plugs parked for
 // those operations, into a wait-for cycle that repeats every round. On
 // 70-operation assays about a third of candidate fixpoints run into
-// RouterOptions::max_fixpoint_rounds (ROADMAP.md, item (1)). At the cap
-// the loop applies the final retiming and runs one reconciliation route
-// against the retimed schedule (reported via RouteStats::fixpoints_capped),
-// but that route's own delays are reported, not retimed, so a capped
-// (schedule, routing) pair is not consistent: every one measured fails
-// simulate_chip.
+// RouterOptions::max_fixpoint_rounds (ROADMAP.md, item (1)). The round
+// after the cap routes the schedule retimed by the last capped round and
+// ends the loop whatever its delays (reported via
+// RouteStats::fixpoints_capped); those delays are reported, not retimed,
+// so a capped (schedule, routing) pair is not consistent: every one
+// measured fails simulate_chip.
 //
-// route_until_consistent is the incremental core: it keeps one
-// IncrementalRouter across rounds, so after the first round only the
-// dirty set (retimed transports plus the closure of replay conflicts) is
-// re-routed — see route/incremental_router.hpp for the dirty-set rule.
-// route_until_consistent_reference is the original from-scratch loop
-// (fresh grid + full route per round), kept verbatim as the equivalence
-// oracle: tests/flow_equivalence_test.cpp proves the two produce
-// bit-identical (Schedule, RoutingResult) pairs on every paper benchmark
-// under both presets, and bench/flow_perf measures the speedup.
+// route_until_consistent keeps one IncrementalRouter on one grid across
+// rounds, so after the first round only the dirty set (retimed transports
+// plus the closure of replay conflicts) is re-routed — see
+// route/incremental_router.hpp for the dirty-set rule. The from-scratch
+// loop it replaced (fresh grid + one-shot route per round) is the test
+// oracle route_until_consistent_reference (oracle/reference_flow.hpp):
+// tests/flow_equivalence_test.cpp proves the two produce bit-identical
+// (Schedule, RoutingResult) pairs on every paper benchmark under both
+// presets, and bench/flow_perf measures the speedup.
 
 #pragma once
 
@@ -111,18 +111,6 @@ struct FlowStats {
 /// (cancellation hook; latency is bounded by one search, not one round).
 /// `flow`, when set, receives the reuse accounting.
 RoutingResult route_until_consistent(
-    Schedule& schedule, const SequencingGraph& graph,
-    const Allocation& allocation, const ChipSpec& chip,
-    const Placement& placement, const WashModel& wash_model,
-    const RouterOptions& router_options, StageTimes& stages,
-    const std::function<void(const char*)>& checkpoint,
-    FlowStats* flow = nullptr);
-
-/// The from-scratch loop: rebuilds the grid and re-routes every transport
-/// each round. Identical observable behavior (bit-identical schedule and
-/// routing, apart from telemetry-only stats); kept as the equivalence
-/// oracle and baseline for bench/flow_perf.
-RoutingResult route_until_consistent_reference(
     Schedule& schedule, const SequencingGraph& graph,
     const Allocation& allocation, const ChipSpec& chip,
     const Placement& placement, const WashModel& wash_model,

@@ -94,41 +94,24 @@ SynthesisResult synthesize_custom(const SequencingGraph& graph,
       options.chip,
       allocation_area(allocation, options.chip.component_spacing));
 
-  if (options.placement == PlacementStrategy::kConstructive) {
-    const auto place_start = Clock::now();
-    Placement placement;
-    {
-      TRACE_SPAN("stage", "place");
-      placement = place_components_baseline(allocation, schedule, chip,
-                                            options.baseline_placer);
-    }
-    stages.place = seconds_since(place_start);
-    FlowStats flow_stats;
-    RoutingResult routing = route_until_consistent(
-        schedule, graph, allocation, chip, placement, wash_model,
-        options.router, stages, checkpoint, &flow_stats);
-    SynthesisResult result =
-        finish(allocation, std::move(schedule), std::move(placement),
-               std::move(routing), chip, t0);
-    result.stage_seconds = stages;
-    result.sched_stats = sched_stats;
-    result.flow_stats = std::move(flow_stats);
-    return result;
-  }
-
-  // SA placement: route every restart's placement and keep the best
-  // end-to-end result — completion time first (the paper's primary
-  // objective), then channel length, then wash time. Placement energy
-  // (Eq. 3) is only a proxy for these, so selection happens on the routed
-  // metrics.
+  // Route every placement candidate and keep the best end-to-end result —
+  // completion time first (the paper's primary objective), then channel
+  // length, then wash time. SA yields one candidate per restart, and
+  // placement energy (Eq. 3) is only a proxy for these, so selection
+  // happens on the routed metrics; BA's placer yields one.
   const auto place_start = Clock::now();
   PlaceStats place_stats;
   std::vector<Placement> candidates;
   {
     TRACE_SPAN("stage", "place");
-    candidates = place_component_candidates(allocation, schedule, wash_model,
-                                            chip, options.placer,
-                                            &place_stats);
+    if (options.placement == PlacementStrategy::kConstructive) {
+      candidates.push_back(place_components_baseline(
+          allocation, schedule, chip, options.baseline_placer));
+    } else {
+      candidates = place_component_candidates(allocation, schedule,
+                                              wash_model, chip,
+                                              options.placer, &place_stats);
+    }
   }
   stages.place = seconds_since(place_start);
   SynthesisResult best;

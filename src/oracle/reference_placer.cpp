@@ -8,7 +8,7 @@
 // are the ones it was written against. Do not optimize this file: its
 // value is being the original, obviously-correct formulation.
 
-#include "place/reference_placer.hpp"
+#include "oracle/reference_placer.hpp"
 
 #include <algorithm>
 #include <functional>
@@ -19,8 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/reference_anneal.hpp"
 #include "place/connection_priority.hpp"
-#include "place/sa_engine.hpp"
+#include "util/interval_set.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -340,6 +341,20 @@ Placement place_components_baseline_reference(
     if (!improved) break;
   }
   return placement;
+}
+
+int concurrent_transport_count(const std::vector<TransportTask>& transports,
+                               std::size_t index) {
+  const TimeInterval window{transports[index].departure,
+                            transports[index].arrival()};
+  int count = 0;
+  for (std::size_t i = 0; i < transports.size(); ++i) {
+    if (i == index) continue;
+    const TimeInterval other{transports[i].departure,
+                             transports[i].arrival()};
+    if (window.overlaps(other)) ++count;
+  }
+  return count;
 }
 
 }  // namespace fbmb

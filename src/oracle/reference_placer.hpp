@@ -18,6 +18,10 @@
 // (place/constructive_placer.hpp): every candidate origin rescans all
 // components for legality and rebuilds its neighbours' footprints for the
 // cost.
+//
+// concurrent_transport_count is the pairwise form of Eq. 4's nt_k term,
+// the oracle for the sweep in concurrent_transport_counts
+// (place/connection_priority.hpp).
 
 #pragma once
 
@@ -51,5 +55,11 @@ std::vector<Placement> place_component_candidates_reference(
 Placement place_components_baseline_reference(
     const Allocation& allocation, const Schedule& schedule,
     const ChipSpec& spec, const ConstructivePlacerOptions& options = {});
+
+/// Number of transports whose movement window [departure, arrival) overlaps
+/// transport `index`'s (the nt_k term). Quadratic over all transports;
+/// kept as the oracle for concurrent_transport_counts.
+int concurrent_transport_count(const std::vector<TransportTask>& transports,
+                               std::size_t index);
 
 }  // namespace fbmb

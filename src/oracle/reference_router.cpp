@@ -1,4 +1,4 @@
-#include "route/reference_router.hpp"
+#include "oracle/reference_router.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -2,7 +2,7 @@
 // SchedulerCore (see reference_scheduler.hpp). Do not optimize this file:
 // its value is that it stays exactly what the core is measured against.
 
-#include "schedule/reference_scheduler.hpp"
+#include "oracle/reference_scheduler.hpp"
 
 #include <algorithm>
 #include <cassert>

@@ -8,7 +8,7 @@
 // std::map share bookkeeping per producer, per-operation
 // components_of_type allocations, and repeated WashModel lookups —
 // verbatim as a test/bench oracle, following the router/placer pattern
-// (route/reference_router.hpp, place/reference_placer.hpp). The two are
+// (oracle/reference_router.hpp, oracle/reference_placer.hpp). The two are
 // bit-identical by construction: tests/scheduler_equivalence_test.cpp and
 // bench/sched_perf assert identical Schedules per paper benchmark, and
 // bench/sched_perf reports the core's speedup.

@@ -2,23 +2,7 @@
 
 #include <algorithm>
 
-#include "util/interval_set.hpp"
-
 namespace fbmb {
-
-int concurrent_transport_count(const std::vector<TransportTask>& transports,
-                               std::size_t index) {
-  const TimeInterval window{transports[index].departure,
-                            transports[index].arrival()};
-  int count = 0;
-  for (std::size_t i = 0; i < transports.size(); ++i) {
-    if (i == index) continue;
-    const TimeInterval other{transports[i].departure,
-                             transports[i].arrival()};
-    if (window.overlaps(other)) ++count;
-  }
-  return count;
-}
 
 std::vector<int> concurrent_transport_counts(
     const std::vector<TransportTask>& transports) {

@@ -32,15 +32,11 @@ struct Net {
   int task_count = 0;     ///< q
 };
 
-/// Number of transports whose movement window [departure, arrival) overlaps
-/// transport `index`'s (the nt_k term). Quadratic over all transports;
-/// kept as the oracle for concurrent_transport_counts. Exposed for testing.
-int concurrent_transport_count(const std::vector<TransportTask>& transports,
-                               std::size_t index);
-
-/// nt_k for every transport at once via sorted endpoint arrays and binary
-/// search — O(T log T) against the O(T^2) of calling
-/// concurrent_transport_count per index, with identical results. Edge
+/// The number of transports whose movement window [departure, arrival)
+/// overlaps each transport's (the nt_k term), for every transport at once
+/// via sorted endpoint arrays and binary search — O(T log T) against the
+/// O(T^2) of the pairwise oracle concurrent_transport_count
+/// (oracle/reference_placer.hpp), with identical results. Edge
 /// cases follow TimeInterval's strict inequalities: touching windows do
 /// not count, and a zero-duration window overlaps exactly the windows
 /// whose interior strictly contains its instant (never another

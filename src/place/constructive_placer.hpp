@@ -13,7 +13,7 @@
 // wirelength tables, tests an origin's cost before its legality, and
 // answers legality from an occupancy grid. It is bit-identical to the
 // original full-rescan loop, kept as place_components_baseline_reference
-// (place/reference_placer.hpp); docs/ALGORITHMS.md §2 gives the argument.
+// (oracle/reference_placer.hpp); docs/ALGORITHMS.md §2 gives the argument.
 
 #pragma once
 

@@ -4,8 +4,9 @@
 // from a random placement at temperature T0, each temperature level runs
 // I_max proposed transformations; a proposal is accepted if it lowers the
 // energy or with probability exp(-dE/T); T decays geometrically by alpha
-// until T_min. The engine is generic over the state type so tests can
-// exercise it on analytic toy problems with known optima.
+// until T_min. The engine is generic over the model so tests can
+// exercise it on analytic toy problems with known optima. Its oracle, the
+// copy-based `anneal` it replaced, lives in oracle/reference_anneal.hpp.
 
 #pragma once
 
@@ -34,50 +35,10 @@ struct SaResult {
   long acceptances = 0;
 };
 
-/// Runs simulated annealing.
-///   energy(state) -> double
-///   propose(state, rng) -> std::optional<State>  (nullopt = infeasible move)
-/// Tracks and returns the best state ever visited (not merely the final one).
-template <typename State, typename EnergyFn, typename ProposeFn>
-std::pair<State, SaResult> anneal(State initial, EnergyFn&& energy,
-                                  ProposeFn&& propose, const SaOptions& opts,
-                                  Rng& rng) {
-  State current = initial;
-  double current_energy = energy(current);
-  State best = current;
-  double best_energy = current_energy;
-  SaResult stats;
-
-  int trace_level = 0;
-  for (double t = opts.initial_temperature; t > opts.min_temperature;
-       t *= opts.cooling_rate) {
-    // Sampled milestone: every 16th temperature level (cheap enough to
-    // leave in the hot loop, dense enough to see the cooling curve).
-    if ((trace_level++ & 15) == 0) TRACE_COUNTER("place", "sa_temperature", t);
-    for (int i = 0; i < opts.iterations_per_temperature; ++i) {
-      ++stats.proposals;
-      std::optional<State> candidate = propose(current, rng);
-      if (!candidate) continue;
-      const double candidate_energy = energy(*candidate);
-      const double delta = candidate_energy - current_energy;
-      if (delta < 0.0 || rng.uniform() < std::exp(-delta / t)) {
-        current = std::move(*candidate);
-        current_energy = candidate_energy;
-        ++stats.acceptances;
-        if (current_energy < best_energy) {
-          best = current;
-          best_energy = current_energy;
-        }
-      }
-    }
-  }
-  stats.best_energy = best_energy;
-  return {std::move(best), stats};
-}
-
 /// Annealing over an in-place move/undo model — the same schedule, accept
-/// rule, RNG consumption, and best tracking as `anneal`, without copying
-/// the state per proposal. Model requirements:
+/// rule, RNG consumption, and best tracking as the copy-based `anneal`
+/// (oracle/reference_anneal.hpp), without copying the state per proposal.
+/// Model requirements:
 ///   double energy();                      // energy of the bound state
 ///   std::optional<double> propose(Rng&);  // tentatively applies a move and
 ///                                         // returns the candidate energy;
@@ -101,7 +62,8 @@ auto anneal_moves(Model& model, const SaOptions& opts, Rng& rng)
   int trace_level = 0;
   for (double t = opts.initial_temperature; t > opts.min_temperature;
        t *= opts.cooling_rate) {
-    // Same sampled milestone as anneal(); see the comment there.
+    // Sampled milestone: every 16th temperature level (cheap enough to
+    // leave in the hot loop, dense enough to see the cooling curve).
     if ((trace_level++ & 15) == 0) TRACE_COUNTER("place", "sa_temperature", t);
     for (int i = 0; i < opts.iterations_per_temperature; ++i) {
       ++stats.proposals;

@@ -61,7 +61,7 @@ Placement random_placement(const Allocation& allocation,
 /// options.restarts independent runs. `spec` must have a fixed grid
 /// (ChipSpec::has_fixed_grid); use derive_grid beforehand otherwise.
 /// Runs on the incremental PlacerCore; bit-identical to
-/// place_components_reference (place/reference_placer.hpp). If `stats` is
+/// place_components_reference (oracle/reference_placer.hpp). If `stats` is
 /// non-null the search counters of every restart are accumulated into it.
 Placement place_components(const Allocation& allocation,
                            const Schedule& schedule,

@@ -7,17 +7,65 @@
 
 namespace fbmb {
 
-IncrementalRouter::IncrementalRouter(const ChipSpec& chip,
-                                     const Allocation& allocation,
-                                     const Placement& placement,
+namespace {
+
+/// The sequential routing order of `schedule` under options.order
+/// (deterministic; the paper routes in non-decreasing start time).
+std::vector<int> route_order(const RoutingGrid& grid, const Schedule& schedule,
+                             const RouterOptions& options) {
+  std::vector<int> order(schedule.transports.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<int>(i);
+  }
+  switch (options.order) {
+    case RouteOrder::kStartTime:
+      std::sort(order.begin(), order.end(), [&](int a, int b) {
+        const auto& ta = schedule.transports[static_cast<std::size_t>(a)];
+        const auto& tb = schedule.transports[static_cast<std::size_t>(b)];
+        return ta.departure != tb.departure ? ta.departure < tb.departure
+                                            : a < b;
+      });
+      break;
+    case RouteOrder::kLongestFirst: {
+      // Estimated length: Manhattan distance between component centers.
+      auto estimate = [&](int i) {
+        const auto& t = schedule.transports[static_cast<std::size_t>(i)];
+        if (!grid.placement() || !grid.allocation() || t.from == t.to) {
+          return 0;
+        }
+        return manhattan_distance(
+            grid.placement()->footprint(t.from, *grid.allocation()),
+            grid.placement()->footprint(t.to, *grid.allocation()));
+      };
+      std::sort(order.begin(), order.end(), [&](int a, int b) {
+        const int ea = estimate(a);
+        const int eb = estimate(b);
+        return ea != eb ? ea > eb : a < b;
+      });
+      break;
+    }
+    case RouteOrder::kId:
+      break;  // already in id order
+  }
+  return order;
+}
+
+}  // namespace
+
+RoutingResult route_transports(RoutingGrid& grid, const Schedule& schedule,
+                               const WashModel& wash_model,
+                               const RouterOptions& options) {
+  return IncrementalRouter(grid, wash_model, options).route_round(schedule);
+}
+
+IncrementalRouter::IncrementalRouter(RoutingGrid& grid,
                                      const WashModel& wash_model,
                                      const RouterOptions& options)
-    : wash_model_(wash_model),
-      options_(options),
-      grid_(chip, allocation, placement),
-      core_(grid_, wash_model_, options_, nullptr),
-      ports_cache_(allocation.size()),
-      ports_cached_(allocation.size(), false) {}
+    : options_(options),
+      grid_(grid),
+      core_(grid_, wash_model, options_, nullptr),
+      ports_cache_(grid.allocation()->size()),
+      ports_cached_(grid.allocation()->size(), false) {}
 
 const std::vector<Point>& IncrementalRouter::ports(ComponentId id) {
   const auto i = static_cast<std::size_t>(id.value);
@@ -63,8 +111,7 @@ RoutingResult IncrementalRouter::route_round(const Schedule& schedule,
   const bool all_dirty = (round_number_ == 0);
   ++round_number_;
 
-  const std::vector<int> order =
-      route_transport_order(grid_, schedule, options_);
+  const std::vector<int> order = route_order(grid_, schedule, options_);
   commit_sweep(schedule, order, all_dirty, result, round, checkpoint);
   prev_order_ = order;
   return result;

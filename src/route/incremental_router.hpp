@@ -1,10 +1,14 @@
-// Incremental routing for the route–retime fixpoint.
+// Incremental routing: the one routing pipeline.
 //
-// The fixpoint (core/flow_core.hpp) routes a schedule, folds any router
-// postponements back into the schedule, and routes again until the pair is
-// consistent. A retiming round typically shifts only the postponed
-// transports and their downstream cone, yet the from-scratch loop re-ran
-// A* for every transport each round. IncrementalRouter keeps the routing
+// IncrementalRouter routes a schedule in rounds on a RoutingGrid its
+// caller owns. The first round marks every transport dirty and runs the
+// full per-task pipeline in route order, which is all a one-shot route
+// is: route_transports (route/router.hpp) is exactly one such round on
+// the caller's grid. Later rounds serve the route–retime fixpoint
+// (core/flow_core.hpp), which routes a schedule, folds any router
+// postponements back into the schedule, and routes again until the pair
+// is consistent. A retiming round typically shifts only the postponed
+// transports and their downstream cone, so the router keeps the routing
 // state of the previous round and re-routes only the dirty set:
 //
 // Reuse is decided by *footprint verification*. RouterCore's A* is a
@@ -41,19 +45,21 @@
 // Recording is on in every round — the first round cannot reuse
 // anything, but its footprints are what make the postponed tasks it
 // routed reusable in round two, where most of the fixpoint's repeat
-// work lives.
+// work lives. A one-shot route pays for that recording and never uses it.
 //
 // Rather than evicting intervals from a persistent grid (IntervalSet has
 // no erase, and residues/weights are last-writer state that cannot be
-// reverted locally), each round resets the grid's transient state and
-// sweeps the tasks in the round's route order, replaying clean tasks'
+// reverted locally), each later round resets the grid's transient state
+// and sweeps the tasks in the round's route order, replaying clean tasks'
 // stored contributions (O(probed cells), no heap search) and running the
 // full RouterCore pipeline for dirty ones. The sweep guarantees the
 // search for the task at position k sees exactly the contributions of
-// positions < k — the same state a from-scratch route of the current
-// schedule builds — which in-place eviction cannot guarantee. The
-// flow-equivalence suite checks the end result is bit-identical to the
-// from-scratch loop on every paper benchmark under both presets.
+// positions < k — the same state a one-shot route of the current
+// schedule on a fresh grid builds — which in-place eviction cannot
+// guarantee. The flow-equivalence suite checks the end result is
+// bit-identical to the from-scratch loop (fresh grid and one-shot route
+// per round, oracle/reference_flow.hpp) on every paper benchmark under
+// both presets.
 
 #pragma once
 
@@ -77,10 +83,11 @@ struct FlowRound {
 
 class IncrementalRouter {
  public:
-  /// Builds the persistent routing state (grid, A* workspace) once; the
-  /// referenced allocation/placement/wash model must outlive the router.
-  IncrementalRouter(const ChipSpec& chip, const Allocation& allocation,
-                    const Placement& placement, const WashModel& wash_model,
+  /// Builds the persistent A* workspace once for `grid`, which the
+  /// router routes on and mutates; the grid (and the allocation and
+  /// placement it was built from) and the wash model must outlive the
+  /// router.
+  IncrementalRouter(RoutingGrid& grid, const WashModel& wash_model,
                     const RouterOptions& options);
 
   IncrementalRouter(const IncrementalRouter&) = delete;
@@ -93,15 +100,16 @@ class IncrementalRouter {
   /// usable after a throw (the fixpoint abandons it).
   using Checkpoint = std::function<void(const char*)>;
 
-  /// Routes `schedule` for one fixpoint round. The first round routes
-  /// every transport; later rounds re-route only the dirty set and replay
-  /// the rest. Returns exactly what route_transports on a fresh grid
-  /// would, apart from the telemetry-only stats (which count only the
-  /// searches actually performed). `round` (optional) receives the reuse
-  /// accounting; `reset_seconds` (optional) accumulates the wall time of
-  /// the between-round grid reset, which the fixpoint attributes to the
-  /// grid_build stage rather than route. `checkpoint` (optional) is the
-  /// per-transport cancellation hook.
+  /// Routes `schedule` for one round. The first round routes every
+  /// transport on the grid as the caller handed it; later rounds reset the
+  /// grid's transient state, re-route only the dirty set and replay the
+  /// rest. A later round returns exactly what a first round on a fresh
+  /// grid would, apart from the telemetry-only stats (which count only
+  /// the searches actually performed). `round` (optional) receives the
+  /// reuse accounting; `reset_seconds` (optional) accumulates the wall
+  /// time of the between-round grid reset, which the fixpoint attributes
+  /// to the grid_build stage rather than route. `checkpoint` (optional)
+  /// is the per-transport cancellation hook.
   RoutingResult route_round(const Schedule& schedule,
                             FlowRound* round = nullptr,
                             double* reset_seconds = nullptr,
@@ -129,20 +137,20 @@ class IncrementalRouter {
   };
 
   /// The serial commit-order sweep at the heart of every round: replays
-  /// clean tasks, searches dirty ones, in the canonical route order.
-  /// Exactly the from-scratch semantics — see the header comment.
+  /// clean tasks, searches dirty ones, in the route order of
+  /// RouterOptions::order. Exactly the from-scratch semantics — see the
+  /// header comment.
   void commit_sweep(const Schedule& schedule, const std::vector<int>& order,
                     bool all_dirty, RoutingResult& result, FlowRound* round,
                     const Checkpoint& checkpoint);
 
-  /// The RouteTask a from-scratch route derives from this transport.
+  /// The RouteTask this transport routes as.
   static RouteTask make_route_task(int idx, const TransportTask& transport);
 
   const std::vector<Point>& ports(ComponentId id);
 
-  const WashModel& wash_model_;
   RouterOptions options_;
-  RoutingGrid grid_;
+  RoutingGrid& grid_;
   RouterCore core_;
   std::vector<TaskRecord> records_;
   /// Ports depend only on the (fixed) placement; computed once per

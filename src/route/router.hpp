@@ -20,15 +20,20 @@
 // start + t_c)), and — for the path's tail cells near the destination — the
 // channel-cache dwell ([start + t_c, consume)).
 //
-// Baseline mode (wash_aware_weights = false, conflict_aware = false)
-// reproduces BA: pure shortest-path search, conflicts resolved afterwards by
-// postponing the task until its path is free; the postponement is returned
-// per transport so the schedule can be retimed.
+// A task with no feasible path at its start waits: the router postpones
+// it until a path is free and returns the postponement per transport, so
+// the schedule can be retimed. BA (synthesize_baseline) routes with
+// wash_aware_weights = false, i.e. every cell costs w_e and the search is
+// a shortest path, still under temporal exclusion. conflict_aware = false
+// makes the search purely spatial and postpones afterwards, until the
+// chosen path is free; no preset uses it.
+//
+// The per-task pipeline is implemented once, in IncrementalRouter
+// (route/incremental_router.hpp); route_transports is one round of it.
 
 #pragma once
 
 #include <stdexcept>
-#include <vector>
 
 #include "biochip/wash_model.hpp"
 #include "route/grid.hpp"
@@ -50,8 +55,9 @@ struct RouterOptions {
   /// constant w_e, i.e. the search degenerates to shortest path.
   bool wash_aware_weights = true;
   RouteOrder order = RouteOrder::kStartTime;
-  /// Enforce temporal exclusion inside the search (ours). When false the
-  /// search is purely spatial and conflicts are resolved by postponement.
+  /// Enforce temporal exclusion inside the search (both presets). When
+  /// false the search is purely spatial and conflicts are resolved by
+  /// postponement.
   bool conflict_aware = true;
   /// Postponement granularity in seconds when a task must wait.
   double postpone_step = 1.0;
@@ -75,19 +81,12 @@ class RoutingError : public std::runtime_error {
 };
 
 /// Routes every transport of `schedule` on `grid` (mutating cell occupancy,
-/// weights and residues). Throws RoutingError if a task cannot be routed at
-/// all (disconnected ports). Delays in the result are indexed by transport
-/// id and feed apply_transport_delays.
+/// weights and residues), in options.order: the first round of an
+/// IncrementalRouter on `grid`. Throws RoutingError if a task cannot be
+/// routed at all (disconnected ports). Delays in the result are indexed by
+/// transport id and feed apply_transport_delays.
 RoutingResult route_transports(RoutingGrid& grid, const Schedule& schedule,
                                const WashModel& wash_model,
                                const RouterOptions& options = {});
-
-/// The sequential routing order route_transports processes `schedule` in
-/// under options.order (deterministic). Exposed so the incremental
-/// fixpoint router sweeps tasks in the exact same order as a from-scratch
-/// route of the same schedule.
-std::vector<int> route_transport_order(const RoutingGrid& grid,
-                                       const Schedule& schedule,
-                                       const RouterOptions& options);
 
 }  // namespace fbmb

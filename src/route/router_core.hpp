@@ -1,6 +1,6 @@
-// The flat-array A* routing core, shared by the one-shot router
-// (route_transports, router.cpp) and the incremental fixpoint router
-// (IncrementalRouter, incremental_router.cpp).
+// The flat-array A* routing core behind IncrementalRouter
+// (incremental_router.cpp), the one routing pipeline: route_transports is
+// its first round and the route–retime fixpoint runs its later rounds.
 //
 // This is an internal engine header: RouterCore exposes the per-task
 // routing pipeline (begin_task / find_path / find_path_postponed /
@@ -40,7 +40,7 @@ struct RouteTask {
 /// times) lives in dense grid-indexed arrays that are "cleared" by bumping
 /// a generation stamp, so routing a task performs no bookkeeping
 /// allocation. Produces bit-identical results to the map-based reference
-/// router (reference_router.cpp): the g/f arithmetic is the same
+/// router (oracle/reference_router.cpp): the g/f arithmetic is the same
 /// expression tree, the heuristic below equals the reference's
 /// min-Manhattan scan, and the open list pops in the same (f, g, point)
 /// total order.

@@ -25,7 +25,7 @@
 //   WashModel map lookups in the hot loop.
 //
 // The result is bit-identical to the original implementation, which is
-// kept verbatim in schedule/reference_scheduler.hpp as the oracle:
+// kept verbatim in oracle/reference_scheduler.hpp as the oracle:
 // tests/scheduler_equivalence_test.cpp and bench/sched_perf assert
 // identical Schedules (operations, transports, washes, completion) on
 // every paper benchmark.

@@ -6,15 +6,16 @@
 
 #include "core/flow_core.hpp"
 #include "core/synthesis.hpp"
+#include "oracle/reference_flow.hpp"
+#include "oracle/reference_placer.hpp"
+#include "oracle/reference_router.hpp"
+#include "oracle/reference_scheduler.hpp"
 #include "place/constructive_placer.hpp"
-#include "place/reference_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "route/grid.hpp"
-#include "route/reference_router.hpp"
 #include "route/router.hpp"
 #include "route/validator.hpp"
 #include "schedule/list_scheduler.hpp"
-#include "schedule/reference_scheduler.hpp"
 #include "schedule/validator.hpp"
 #include "sim/chip_simulator.hpp"
 

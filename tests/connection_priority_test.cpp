@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_suite/benchmarks.hpp"
+#include "oracle/reference_placer.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/rng.hpp"
 

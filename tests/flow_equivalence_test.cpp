@@ -14,6 +14,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/synthetic.hpp"
 #include "core/flow_core.hpp"
+#include "oracle/reference_flow.hpp"
 #include "place/constructive_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "schedule/list_scheduler.hpp"

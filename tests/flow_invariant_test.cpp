@@ -21,6 +21,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "core/flow_core.hpp"
 #include "core/synthesis.hpp"
+#include "oracle/reference_flow.hpp"
 #include "place/constructive_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "route/validator.hpp"

@@ -20,8 +20,8 @@
 
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/synthetic.hpp"
+#include "oracle/reference_placer.hpp"
 #include "place/constructive_placer.hpp"
-#include "place/reference_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "schedule/list_scheduler.hpp"
 

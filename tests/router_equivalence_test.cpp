@@ -1,17 +1,18 @@
 // Flat-array router core vs the map-based reference implementation.
 //
-// The rewrite in route/router.cpp must be a pure optimization: for every
-// paper benchmark and both router configurations (the paper's conflict-
-// aware flow and the BA-style baseline), the RoutingResult must be
-// bit-identical to route_transports_reference — same cells, same doubles,
-// same postponements. Stats are telemetry and excluded by design.
+// The flat-array core behind route_transports (route/router_core.hpp)
+// must be a pure optimization: for every paper benchmark and both router
+// configurations (the paper's conflict-aware flow and the BA-style
+// baseline), the RoutingResult must be bit-identical to
+// route_transports_reference — same cells, same doubles, same
+// postponements. Stats are telemetry and excluded by design.
 
 #include <gtest/gtest.h>
 
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/synthetic.hpp"
+#include "oracle/reference_router.hpp"
 #include "place/sa_placer.hpp"
-#include "route/reference_router.hpp"
 #include "route/router.hpp"
 #include "schedule/list_scheduler.hpp"
 

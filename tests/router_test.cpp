@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "route/reference_router.hpp"
+#include "oracle/reference_router.hpp"
 #include "route/router_core.hpp"
 #include "route/validator.hpp"
 

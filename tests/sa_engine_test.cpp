@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "oracle/reference_anneal.hpp"
+
 namespace fbmb {
 namespace {
 

@@ -5,8 +5,8 @@
 
 #include "bench_suite/synthetic.hpp"
 #include "graph/graph_builder.hpp"
+#include "oracle/reference_scheduler.hpp"
 #include "schedule/list_scheduler.hpp"
-#include "schedule/reference_scheduler.hpp"
 #include "schedule/validator.hpp"
 
 namespace fbmb {

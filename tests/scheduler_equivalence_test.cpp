@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "oracle/reference_scheduler.hpp"
 #include "schedule/list_scheduler.hpp"
-#include "schedule/reference_scheduler.hpp"
 #include "schedule/scheduler_core.hpp"
 #include "schedule/validator.hpp"
 

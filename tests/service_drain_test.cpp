@@ -110,7 +110,9 @@ TEST(SynthServerDrain, NewRequestsAreRefusedWhileDraining) {
   // connection is refused outright — never a 200.
   const auto response = roundtrip(server.port(), "POST", "/synthesize",
                                   R"({"benchmark": "PCR"})");
-  if (response) EXPECT_EQ(response->status, 503);
+  if (response) {
+    EXPECT_EQ(response->status, 503);
+  }
   server.shutdown();
 }
 
