@@ -6,8 +6,8 @@
 // (fresh grid + full re-route every round), end to end — grid
 // construction, every routing round, and the retimings in between. The
 // two fixpoints are verified to produce bit-identical (schedule, routing)
-// pairs, and the JSON records per-round reuse fractions so regressions in
-// the reuse rate are visible, not just wall time.
+// pairs, and the JSON records each fixpoint's reuse counters so
+// regressions in the reuse rate are visible, not just wall time.
 //
 //   build/bench/flow_perf [--json-out FILE]
 
@@ -203,23 +203,7 @@ int main(int argc, char** argv) {
            << ", \"flat_seconds\": " << json_number(incremental.seconds)
            << ", \"speedup\": " << json_number(speedup)
            << ", \"identical\": " << (identical ? "true" : "false")
-           << ", \"flow\": {" << json_fields(flow)
-           << ", \"rounds_detail\": [";
-      for (std::size_t r = 0; r < flow.round_details.size(); ++r) {
-        const FlowRound& round = flow.round_details[r];
-        const std::uint64_t total =
-            round.transports_rerouted + round.transports_reused;
-        const double reuse_fraction =
-            total ? static_cast<double>(round.transports_reused) /
-                        static_cast<double>(total)
-                  : 0.0;
-        json << (r ? "," : "") << "{\"rerouted\": "
-             << round.transports_rerouted
-             << ", \"reused\": " << round.transports_reused
-             << ", \"reuse_fraction\": " << json_number(reuse_fraction)
-             << "}";
-      }
-      json << "]}}";
+           << ", \"flow\": {" << json_fields(flow) << "}}";
       first = false;
     }
   }

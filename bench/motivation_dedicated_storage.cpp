@@ -15,9 +15,9 @@
 
 #include "bench_suite/benchmarks.hpp"
 #include "core/synthesis.hpp"
+#include "report/table.hpp"
 #include "schedule/dedicated_scheduler.hpp"
 #include "schedule/metrics.hpp"
-#include "report/table.hpp"
 #include "util/strings.hpp"
 
 int main() {

@@ -24,6 +24,7 @@
 #include "report/table.hpp"
 #include "route/router.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "util/fields.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -136,14 +137,7 @@ int main(int argc, char** argv) {
          << ", \"flat_seconds\": " << json_number(flat_s)
          << ", \"speedup\": " << json_number(speedup)
          << ", \"identical\": " << (identical ? "true" : "false")
-         << ", \"routing\": {\"tasks_routed\": " << flat.stats.tasks_routed
-         << ", \"nodes_expanded\": " << flat.stats.nodes_expanded
-         << ", \"heap_pushes\": " << flat.stats.heap_pushes
-         << ", \"feasibility_rejections\": "
-         << flat.stats.feasibility_rejections
-         << ", \"postponement_steps\": " << flat.stats.postponement_steps
-         << ", \"distance_fields_built\": "
-         << flat.stats.distance_fields_built << "}}";
+         << ", \"routing\": {" << json_fields(flat.stats) << "}}";
     first = false;
   }
   json << "\n]}";

@@ -42,11 +42,11 @@
 #include <vector>
 
 #include "testgen/generator.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/trace.hpp"
 #include "testgen/oracle.hpp"
 #include "testgen/scenario.hpp"
 #include "testgen/shrinker.hpp"
+#include "trace/chrome_export.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 

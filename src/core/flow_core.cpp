@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "route/incremental_router.hpp"
 #include "schedule/retiming.hpp"
 #include "trace/trace.hpp"
 #include "util/logging.hpp"
@@ -20,15 +21,6 @@ double seconds_since(Clock::time_point t0) {
 bool any_delay(const RoutingResult& routing) {
   return std::any_of(routing.delays.begin(), routing.delays.end(),
                      [](double d) { return d > 0.0; });
-}
-
-void fold_round(FlowStats* flow, const FlowRound& round) {
-  if (!flow) return;
-  ++flow->rounds;
-  flow->transports_rerouted += round.transports_rerouted;
-  flow->transports_reused += round.transports_reused;
-  flow->cells_evicted += round.cells_evicted;
-  flow->round_details.push_back(round);
 }
 
 }  // namespace
@@ -54,18 +46,16 @@ RoutingResult route_until_consistent(
 
   for (int round_index = 0;; ++round_index) {
     TRACE_COUNTER("route", "fixpoint_round", round_index);
-    FlowRound round;
     double reset_seconds = 0.0;
     const auto route_start = Clock::now();
     RoutingResult routing;
     {
       TRACE_SPAN("stage", "route_round");
       routing =
-          router.route_round(schedule, &round, &reset_seconds, checkpoint);
+          router.route_round(schedule, flow, &reset_seconds, checkpoint);
     }
     stages.route += seconds_since(route_start) - reset_seconds;
     stages.grid_build += reset_seconds;
-    fold_round(flow, round);
     stats_total += routing.stats;
     postponements += routing.conflict_postponements;
 

@@ -27,17 +27,15 @@
 
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "biochip/chip_spec.hpp"
 #include "biochip/component_library.hpp"
 #include "biochip/wash_model.hpp"
 #include "graph/sequencing_graph.hpp"
 #include "place/placement.hpp"
-#include "route/incremental_router.hpp"
 #include "route/router.hpp"
+#include "route/types.hpp"
 #include "schedule/types.hpp"
 #include "util/fields.hpp"
 
@@ -70,36 +68,6 @@ struct StageTimes {
     double sum = 0.0;
     for (const auto& field : kFields) sum += this->*field.member;
     return sum;
-  }
-};
-
-/// Reuse counters for the route–retime fixpoint; summed over every
-/// fixpoint a flow runs (one per SA placement candidate). Telemetry-only,
-/// like RouteStats.
-struct FlowStats {
-  std::uint64_t rounds = 0;               ///< routing rounds executed
-  std::uint64_t transports_rerouted = 0;  ///< tasks that ran the A* pipeline
-  std::uint64_t transports_reused = 0;    ///< tasks replayed without search
-  std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
-  /// Per-round breakdown, in execution order (concatenated across
-  /// fixpoints). Not threaded through telemetry or the result cache; the
-  /// flow_perf bench reports per-round re-route fractions from it.
-  std::vector<FlowRound> round_details;
-
-  /// The four counters above (not round_details), as {JSON key, member}
-  /// (util/fields.hpp).
-  static constexpr Field<FlowStats, std::uint64_t> kFields[] = {
-      {"rounds", &FlowStats::rounds},
-      {"transports_rerouted", &FlowStats::transports_rerouted},
-      {"transports_reused", &FlowStats::transports_reused},
-      {"cells_evicted", &FlowStats::cells_evicted},
-  };
-
-  FlowStats& operator+=(const FlowStats& o) {
-    add_fields(*this, o);
-    round_details.insert(round_details.end(), o.round_details.begin(),
-                         o.round_details.end());
-    return *this;
   }
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <tuple>
 #include <vector>
-#include <sstream>
 
 #include "core/flow_core.hpp"
 #include "place/sa_placer.hpp"
@@ -119,11 +119,9 @@ SynthesisResult synthesize_custom(const SequencingGraph& graph,
   FlowStats flow_total;
   for (Placement& placement : candidates) {
     Schedule trial_schedule = schedule;
-    FlowStats flow_stats;
     RoutingResult routing = route_until_consistent(
         trial_schedule, graph, allocation, chip, placement, wash_model,
-        options.router, stages, checkpoint, &flow_stats);
-    flow_total += flow_stats;
+        options.router, stages, checkpoint, &flow_total);
     SynthesisResult result =
         finish(allocation, std::move(trial_schedule), std::move(placement),
                std::move(routing), chip, t0);
@@ -140,7 +138,7 @@ SynthesisResult synthesize_custom(const SequencingGraph& graph,
   best.stage_seconds = stages;
   best.place_stats = place_stats;
   best.sched_stats = sched_stats;
-  best.flow_stats = std::move(flow_total);
+  best.flow_stats = flow_total;
   return best;
 }
 

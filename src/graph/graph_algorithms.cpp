@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 
 namespace fbmb {
 
@@ -24,105 +23,6 @@ std::vector<double> longest_path_to_sink(const SequencingGraph& graph,
     dist[static_cast<std::size_t>(id.value)] = op.duration + best_child;
   }
   return dist;
-}
-
-std::vector<double> longest_path_from_source(const SequencingGraph& graph,
-                                             double transport_time) {
-  const auto order = graph.topological_order();
-  assert(order.has_value() && "graph must be acyclic");
-  std::vector<double> dist(graph.operation_count(), 0.0);
-  for (OperationId id : *order) {
-    const Operation& op = graph.operation(id);
-    double best_parent = 0.0;
-    for (OperationId parent : graph.parents(id)) {
-      best_parent = std::max(
-          best_parent,
-          transport_time + dist[static_cast<std::size_t>(parent.value)]);
-    }
-    dist[static_cast<std::size_t>(id.value)] = best_parent + op.duration;
-  }
-  return dist;
-}
-
-std::vector<OperationId> critical_path(const SequencingGraph& graph,
-                                       double transport_time) {
-  if (graph.empty()) return {};
-  const auto to_sink = longest_path_to_sink(graph, transport_time);
-  // Start at the source with the largest priority; follow, at each step, the
-  // child consistent with the longest-path recurrence.
-  OperationId current = kNoOperation;
-  double best = -1.0;
-  for (const auto& op : graph.operations()) {
-    if (!graph.parents(op.id).empty()) continue;
-    if (to_sink[static_cast<std::size_t>(op.id.value)] > best) {
-      best = to_sink[static_cast<std::size_t>(op.id.value)];
-      current = op.id;
-    }
-  }
-  std::vector<OperationId> path;
-  while (current.valid()) {
-    path.push_back(current);
-    const double here = to_sink[static_cast<std::size_t>(current.value)];
-    const double rest = here - graph.operation(current).duration;
-    OperationId next = kNoOperation;
-    for (OperationId child : graph.children(current)) {
-      const double via =
-          transport_time + to_sink[static_cast<std::size_t>(child.value)];
-      if (std::abs(via - rest) < 1e-9) {
-        next = child;
-        break;
-      }
-    }
-    current = next;
-  }
-  return path;
-}
-
-double critical_path_length(const SequencingGraph& graph,
-                            double transport_time) {
-  if (graph.empty()) return 0.0;
-  const auto dist = longest_path_to_sink(graph, transport_time);
-  double best = 0.0;
-  for (const auto& op : graph.operations()) {
-    if (graph.parents(op.id).empty()) {
-      best = std::max(best, dist[static_cast<std::size_t>(op.id.value)]);
-    }
-  }
-  return best;
-}
-
-std::vector<int> depth_levels(const SequencingGraph& graph) {
-  const auto order = graph.topological_order();
-  assert(order.has_value() && "graph must be acyclic");
-  std::vector<int> depth(graph.operation_count(), 0);
-  for (OperationId id : *order) {
-    for (OperationId parent : graph.parents(id)) {
-      depth[static_cast<std::size_t>(id.value)] =
-          std::max(depth[static_cast<std::size_t>(id.value)],
-                   depth[static_cast<std::size_t>(parent.value)] + 1);
-    }
-  }
-  return depth;
-}
-
-bool reaches(const SequencingGraph& graph, OperationId ancestor,
-             OperationId descendant) {
-  if (ancestor == descendant) return true;
-  std::vector<bool> seen(graph.operation_count(), false);
-  std::deque<OperationId> frontier{ancestor};
-  seen[static_cast<std::size_t>(ancestor.value)] = true;
-  while (!frontier.empty()) {
-    const OperationId id = frontier.front();
-    frontier.pop_front();
-    for (OperationId child : graph.children(id)) {
-      if (child == descendant) return true;
-      if (!seen[static_cast<std::size_t>(child.value)]) {
-        seen[static_cast<std::size_t>(child.value)] = true;
-        frontier.push_back(child);
-      }
-    }
-  }
-  return false;
 }
 
 std::vector<int> operation_type_histogram(const SequencingGraph& graph) {

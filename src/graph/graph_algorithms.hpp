@@ -8,7 +8,7 @@
 
 #pragma once
 
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "graph/sequencing_graph.hpp"
@@ -20,27 +20,6 @@ namespace fbmb {
 /// `transport_time` per edge. Indexed by OperationId::value.
 std::vector<double> longest_path_to_sink(const SequencingGraph& graph,
                                          double transport_time);
-
-/// Longest path length from any source to each operation, inclusive of the
-/// operation's own duration (used for as-soon-as-possible lower bounds).
-std::vector<double> longest_path_from_source(const SequencingGraph& graph,
-                                             double transport_time);
-
-/// The critical path (operation sequence achieving the graph's maximum
-/// source-to-sink priority). Empty for an empty graph.
-std::vector<OperationId> critical_path(const SequencingGraph& graph,
-                                       double transport_time);
-
-/// Lower bound on bioassay completion time: the critical-path length.
-double critical_path_length(const SequencingGraph& graph,
-                            double transport_time);
-
-/// Depth (longest edge count from a source) per operation; sources are 0.
-std::vector<int> depth_levels(const SequencingGraph& graph);
-
-/// True iff `ancestor` reaches `descendant` through directed edges.
-bool reaches(const SequencingGraph& graph, OperationId ancestor,
-             OperationId descendant);
 
 /// Number of operations of each component type, indexed by ComponentType.
 std::vector<int> operation_type_histogram(const SequencingGraph& graph);

@@ -23,15 +23,6 @@ bool any_delay(const RoutingResult& routing) {
                      [](double d) { return d > 0.0; });
 }
 
-void fold_round(FlowStats* flow, const FlowRound& round) {
-  if (!flow) return;
-  ++flow->rounds;
-  flow->transports_rerouted += round.transports_rerouted;
-  flow->transports_reused += round.transports_reused;
-  flow->cells_evicted += round.cells_evicted;
-  flow->round_details.push_back(round);
-}
-
 }  // namespace
 
 // The reference fixpoint is deliberately left uninstrumented: it is the
@@ -56,9 +47,8 @@ RoutingResult route_until_consistent_reference(
         route_transports(grid, schedule, wash_model, router_options);
     stages.route += seconds_since(route_start);
     if (flow) {
-      FlowRound round;
-      round.transports_rerouted = schedule.transports.size();
-      fold_round(flow, round);
+      ++flow->rounds;
+      flow->transports_rerouted += schedule.transports.size();
     }
     stats_total += routing.stats;
     postponements += routing.conflict_postponements;

@@ -1,8 +1,8 @@
 #include "route/control_router.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <deque>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>

@@ -90,7 +90,7 @@ RouteTask IncrementalRouter::make_route_task(int idx,
 }
 
 RoutingResult IncrementalRouter::route_round(const Schedule& schedule,
-                                             FlowRound* round,
+                                             FlowStats* flow,
                                              double* reset_seconds,
                                              const Checkpoint& checkpoint) {
   using Clock = std::chrono::steady_clock;
@@ -110,9 +110,10 @@ RoutingResult IncrementalRouter::route_round(const Schedule& schedule,
   }
   const bool all_dirty = (round_number_ == 0);
   ++round_number_;
+  if (flow) ++flow->rounds;
 
   const std::vector<int> order = route_order(grid_, schedule, options_);
-  commit_sweep(schedule, order, all_dirty, result, round, checkpoint);
+  commit_sweep(schedule, order, all_dirty, result, flow, checkpoint);
   prev_order_ = order;
   return result;
 }
@@ -120,7 +121,7 @@ RoutingResult IncrementalRouter::route_round(const Schedule& schedule,
 void IncrementalRouter::commit_sweep(const Schedule& schedule,
                                      const std::vector<int>& order,
                                      bool all_dirty, RoutingResult& result,
-                                     FlowRound* round,
+                                     FlowStats* flow,
                                      const Checkpoint& checkpoint) {
   // While `verbatim` holds, this round has replayed the previous round
   // position-for-position, so the grid state is bitwise the state each
@@ -232,16 +233,16 @@ void IncrementalRouter::commit_sweep(const Schedule& schedule,
       rec.start = transport.departure;
       rec.transport_time = transport.transport_time;
       rec.cache_dwell = task.cache_dwell;
-      if (round) ++round->transports_reused;
+      if (flow) ++flow->transports_reused;
       TRACE_INSTANT("route", "replay");
       continue;
     }
 
     verbatim = false;
     TRACE_INSTANT("route", "reroute");
-    if (round) {
-      ++round->transports_rerouted;
-      if (rec.valid) round->cells_evicted += rec.cells.size();
+    if (flow) {
+      ++flow->transports_rerouted;
+      if (rec.valid) flow->cells_evicted += rec.cells.size();
     }
     core_.count_task_routed();
 

@@ -63,7 +63,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -73,13 +72,6 @@
 #include "route/router_core.hpp"
 
 namespace fbmb {
-
-/// Reuse accounting for one routing round of the fixpoint.
-struct FlowRound {
-  std::uint64_t transports_rerouted = 0;  ///< dirty: ran the A* pipeline
-  std::uint64_t transports_reused = 0;    ///< clean: replayed verbatim
-  std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
-};
 
 class IncrementalRouter {
  public:
@@ -105,13 +97,13 @@ class IncrementalRouter {
   /// grid's transient state, re-route only the dirty set and replay the
   /// rest. A later round returns exactly what a first round on a fresh
   /// grid would, apart from the telemetry-only stats (which count only
-  /// the searches actually performed). `round` (optional) receives the
-  /// reuse accounting; `reset_seconds` (optional) accumulates the wall
-  /// time of the between-round grid reset, which the fixpoint attributes
-  /// to the grid_build stage rather than route. `checkpoint` (optional)
-  /// is the per-transport cancellation hook.
+  /// the searches actually performed). `flow` (optional) gets this
+  /// round's reuse accounting added; `reset_seconds` (optional)
+  /// accumulates the wall time of the between-round grid reset, which the
+  /// fixpoint attributes to the grid_build stage rather than route.
+  /// `checkpoint` (optional) is the per-transport cancellation hook.
   RoutingResult route_round(const Schedule& schedule,
-                            FlowRound* round = nullptr,
+                            FlowStats* flow = nullptr,
                             double* reset_seconds = nullptr,
                             const Checkpoint& checkpoint = {});
 
@@ -141,7 +133,7 @@ class IncrementalRouter {
   /// RouterOptions::order. Exactly the from-scratch semantics — see the
   /// header comment.
   void commit_sweep(const Schedule& schedule, const std::vector<int>& order,
-                    bool all_dirty, RoutingResult& result, FlowRound* round,
+                    bool all_dirty, RoutingResult& result, FlowStats* flow,
                     const Checkpoint& checkpoint);
 
   /// The RouteTask this transport routes as.

@@ -48,6 +48,27 @@ struct RouteStats {
   RouteStats& operator+=(const RouteStats& o) { return add_fields(*this, o); }
 };
 
+/// Reuse counters for the route–retime fixpoint (core/flow_core.hpp),
+/// added to by every IncrementalRouter round and summed over every
+/// fixpoint a flow runs (one per SA placement candidate). Telemetry-only,
+/// like RouteStats.
+struct FlowStats {
+  std::uint64_t rounds = 0;               ///< routing rounds executed
+  std::uint64_t transports_rerouted = 0;  ///< tasks that ran the A* pipeline
+  std::uint64_t transports_reused = 0;    ///< tasks replayed without search
+  std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
+
+  /// Every counter above, as {JSON key, member} (util/fields.hpp).
+  static constexpr Field<FlowStats, std::uint64_t> kFields[] = {
+      {"rounds", &FlowStats::rounds},
+      {"transports_rerouted", &FlowStats::transports_rerouted},
+      {"transports_reused", &FlowStats::transports_reused},
+      {"cells_evicted", &FlowStats::cells_evicted},
+  };
+
+  FlowStats& operator+=(const FlowStats& o) { return add_fields(*this, o); }
+};
+
 /// One routed transportation task.
 struct RoutedPath {
   int transport_id = -1;        ///< index into Schedule::transports

@@ -591,9 +591,6 @@ void append_synthesis_result_json(std::string& out,
   write_placement(os, result.placement);
   os << ", \"place_stats\": {" << json_fields(result.place_stats)
      << "}, \"sched_stats\": {" << json_fields(result.sched_stats)
-     // Only the tabled fixpoint counters are spilled; per-round details
-     // (FlowStats::round_details) are per-job telemetry and are not worth
-     // the cache bytes.
      << "}, \"flow_stats\": {" << json_fields(result.flow_stats)
      << "}, \"routing\": ";
   write_routing(os, result.routing);

@@ -83,8 +83,7 @@ class Telemetry {
   }
 
   /// Folds one completed (cache-missing) job into the totals: its stage
-  /// seconds, its four counter structs (only their tabled counters;
-  /// FlowStats::round_details stay per-job) and its wall time.
+  /// seconds, its four counter structs and its wall time.
   void record_result(const SynthesisResult& result, double wall_seconds);
 
   void record_queue_depth(std::uint64_t depth);

@@ -1,10 +1,11 @@
 #include "biochip/component.hpp"
-#include "biochip/component_library.hpp"
-#include "biochip/chip_spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+
+#include "biochip/chip_spec.hpp"
+#include "biochip/component_library.hpp"
 
 namespace fbmb {
 namespace {

@@ -50,81 +50,6 @@ TEST(LongestPathToSink, ZeroTransportTime) {
   EXPECT_DOUBLE_EQ(dist[0], 10.0);  // pure duration sum
 }
 
-TEST(LongestPathFromSource, Chain) {
-  const auto g = chain3();
-  const auto dist = longest_path_from_source(g, 2.0);
-  EXPECT_DOUBLE_EQ(dist[0], 5.0);
-  EXPECT_DOUBLE_EQ(dist[1], 5.0 + 2.0 + 3.0);
-  EXPECT_DOUBLE_EQ(dist[2], 5.0 + 2.0 + 3.0 + 2.0 + 2.0);
-}
-
-TEST(LongestPathFromSourceAndToSink, AgreeOnTotal) {
-  const auto bench = make_paper_example();
-  const auto to_sink = longest_path_to_sink(bench.graph, 2.0);
-  const auto from_src = longest_path_from_source(bench.graph, 2.0);
-  // For every operation: from_source + to_sink - duration <= total critical
-  // path, with equality somewhere.
-  const double total = critical_path_length(bench.graph, 2.0);
-  bool equality_seen = false;
-  for (const auto& op : bench.graph.operations()) {
-    const auto i = static_cast<std::size_t>(op.id.value);
-    const double through = from_src[i] + to_sink[i] - op.duration;
-    EXPECT_LE(through, total + 1e-9);
-    if (std::abs(through - total) < 1e-9) equality_seen = true;
-  }
-  EXPECT_TRUE(equality_seen);
-}
-
-TEST(CriticalPath, FollowsLongestRoute) {
-  const auto bench = make_paper_example();
-  const auto path = critical_path(bench.graph, 2.0);
-  ASSERT_FALSE(path.empty());
-  // o1 -> o5 -> o7 -> o10 (ids 0, 4, 6, 9).
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path[0].value, 0);
-  EXPECT_EQ(path[1].value, 4);
-  EXPECT_EQ(path[2].value, 6);
-  EXPECT_EQ(path[3].value, 9);
-}
-
-TEST(CriticalPath, EmptyGraph) {
-  SequencingGraph g;
-  EXPECT_TRUE(critical_path(g, 2.0).empty());
-  EXPECT_DOUBLE_EQ(critical_path_length(g, 2.0), 0.0);
-}
-
-TEST(CriticalPath, EdgesExistAlongPath) {
-  const auto bench = make_cpa();
-  const auto path = critical_path(bench.graph, 2.0);
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    EXPECT_TRUE(bench.graph.has_dependency(path[i - 1], path[i]));
-  }
-}
-
-TEST(DepthLevels, Diamond) {
-  SequencingGraph g;
-  const auto a = g.add_operation("a", ComponentType::kMixer, 1.0);
-  const auto b = g.add_operation("b", ComponentType::kMixer, 1.0);
-  const auto c = g.add_operation("c", ComponentType::kMixer, 1.0);
-  const auto d = g.add_operation("d", ComponentType::kMixer, 1.0);
-  g.add_dependency(a, b);
-  g.add_dependency(a, c);
-  g.add_dependency(b, d);
-  g.add_dependency(c, d);
-  const auto depth = depth_levels(g);
-  EXPECT_EQ(depth[0], 0);
-  EXPECT_EQ(depth[1], 1);
-  EXPECT_EQ(depth[2], 1);
-  EXPECT_EQ(depth[3], 2);
-}
-
-TEST(Reaches, TransitiveClosure) {
-  const auto g = chain3();
-  EXPECT_TRUE(reaches(g, OperationId{0}, OperationId{2}));
-  EXPECT_TRUE(reaches(g, OperationId{0}, OperationId{0}));  // reflexive
-  EXPECT_FALSE(reaches(g, OperationId{2}, OperationId{0}));
-}
-
 TEST(OperationTypeHistogram, CountsAllTypes) {
   const auto bench = make_ivd();
   const auto hist = operation_type_histogram(bench.graph);

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench_suite/benchmarks.hpp"
-#include "schedule/list_scheduler.hpp"
-
 namespace fbmb {
 namespace {
 
@@ -19,66 +16,6 @@ TEST(JsonQuote, EscapesSpecials) {
   EXPECT_EQ(json_quote("a\nb"), "\"a\\nb\"");
   EXPECT_EQ(json_quote("a\tb"), "\"a\\tb\"");
   EXPECT_EQ(json_quote(std::string("a\x01") + "b"), "\"a\\u0001b\"");
-}
-
-TEST(ScheduleJson, ContainsAllSections) {
-  const auto bench = make_pcr();
-  const Allocation alloc(bench.allocation);
-  const auto schedule = schedule_bioassay(bench.graph, alloc, bench.wash);
-  const std::string json = schedule_to_json(schedule, bench.graph, alloc);
-  EXPECT_NE(json.find("\"completion_time\""), std::string::npos);
-  EXPECT_NE(json.find("\"operations\""), std::string::npos);
-  EXPECT_NE(json.find("\"transports\""), std::string::npos);
-  EXPECT_NE(json.find("\"washes\""), std::string::npos);
-  for (const auto& op : bench.graph.operations()) {
-    EXPECT_NE(json.find("\"" + op.name + "\""), std::string::npos);
-  }
-}
-
-TEST(ScheduleJson, BalancedBracesAndBrackets) {
-  const auto bench = make_cpa();
-  const Allocation alloc(bench.allocation);
-  const auto schedule = schedule_bioassay(bench.graph, alloc, bench.wash);
-  const std::string json = schedule_to_json(schedule, bench.graph, alloc);
-  long braces = 0, brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char ch = json[i];
-    if (ch == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    if (ch == '{') ++braces;
-    if (ch == '}') --braces;
-    if (ch == '[') ++brackets;
-    if (ch == ']') --brackets;
-    EXPECT_GE(braces, 0);
-    EXPECT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_FALSE(in_string);
-}
-
-TEST(ScheduleJson, TransportsCarryCacheTimes) {
-  const auto bench = make_synthetic(2);
-  const Allocation alloc(bench.allocation);
-  SchedulerOptions opts;
-  opts.refine_storage = false;  // keep cache dwell
-  const auto schedule =
-      schedule_bioassay(bench.graph, alloc, bench.wash, opts);
-  const std::string json = schedule_to_json(schedule, bench.graph, alloc);
-  EXPECT_NE(json.find("\"cache_time\""), std::string::npos);
-  EXPECT_NE(json.find("\"evicted\": true"), std::string::npos);
-}
-
-TEST(ScheduleJson, PartialReplaySkipsUndecidedOps) {
-  const auto bench = make_pcr();
-  const Allocation alloc(bench.allocation);
-  const auto partial = replay_schedule(
-      bench.graph, alloc, bench.wash, {},
-      {{OperationId{0}, ComponentId{0}}});
-  const std::string json = schedule_to_json(partial, bench.graph, alloc);
-  EXPECT_NE(json.find("\"m1\""), std::string::npos);
-  EXPECT_EQ(json.find("\"m7\""), std::string::npos);
 }
 
 }  // namespace

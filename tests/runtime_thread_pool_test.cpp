@@ -4,10 +4,10 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
-#include <thread>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace fbmb {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/graph_algorithms.hpp"
-
 namespace fbmb {
 namespace {
 
@@ -50,15 +48,23 @@ TEST(SyntheticGenerator, NonSourceOperationsHaveParents) {
   spec.operations = 50;
   spec.seed = 4;
   const auto g = generate_synthetic_graph(spec);
-  const auto depth = depth_levels(g);
-  // Sources live only in the first layer: anything at depth 0 must truly
-  // have no parents, and every operation with parents has at least one.
-  int with_parents = 0;
-  for (const auto& op : g.operations()) {
-    if (!g.parents(op.id).empty()) ++with_parents;
+  // Sources live only in the first layer, which is generated first: the
+  // parentless operations are a prefix of the ids, and every later
+  // operation has at least one parent from an earlier layer.
+  const int count = static_cast<int>(g.operation_count());
+  int sources = 0;
+  while (sources < count && g.parents(OperationId{sources}).empty()) {
+    ++sources;
   }
-  EXPECT_GT(with_parents, 0);
-  (void)depth;
+  EXPECT_GE(sources, spec.min_layer_width);
+  EXPECT_LE(sources, spec.max_layer_width);
+  for (const auto& op : g.operations()) {
+    if (op.id.value < sources) continue;
+    EXPECT_FALSE(g.parents(op.id).empty()) << op.name;
+    for (OperationId parent : g.parents(op.id)) {
+      EXPECT_LT(parent.value, op.id.value) << op.name;
+    }
+  }
 }
 
 TEST(SyntheticGenerator, DetectorsHaveAtMostOneParent) {
@@ -133,14 +139,15 @@ TEST(SyntheticGenerator, LayerWidthBoundsRespected) {
   spec.min_layer_width = 4;
   spec.max_layer_width = 4;  // fixed width
   const auto g = generate_synthetic_graph(spec);
-  const auto depth = depth_levels(g);
-  // Count ops per depth: with fixed layer width 4 and edges always landing
-  // in the previous layer or earlier, each depth holds at most 4 ops... but
-  // depth is defined by the longest chain, so we simply check the graph is
-  // well-formed and uses at least 60/4 = 15 layers' worth of structure.
-  int max_depth = 0;
-  for (int d : depth) max_depth = std::max(max_depth, d);
-  EXPECT_GE(max_depth, 1);
+  // With a fixed width of 4, operation i sits in layer i / 4: only layer 0
+  // is parentless, and every parent comes from an earlier layer.
+  for (const auto& op : g.operations()) {
+    const int layer = op.id.value / 4;
+    EXPECT_EQ(g.parents(op.id).empty(), layer == 0) << op.name;
+    for (OperationId parent : g.parents(op.id)) {
+      EXPECT_LT(parent.value / 4, layer) << op.name;
+    }
+  }
 }
 
 }  // namespace
