@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       }
 
       const bool identical =
-          identical_schedules(incremental.schedule, reference.schedule) &&
+          incremental.schedule == reference.schedule &&
           identical_routing(incremental.routing, reference.routing);
       if (!identical) {
         all_equal = false;

@@ -7,12 +7,11 @@
 // energies, in-place moves, occupancy-grid legality) against
 // place_component_candidates_reference (per-proposal Placement copies and
 // full energy recomputation), verifying along the way that the two
-// produce bit-identical placements and energies. A second row per
-// benchmark ("<name>/BA") builds the BA flow's schedule and times
-// place_components_baseline against place_components_baseline_reference,
-// verifying identical origins and rotations. Reports a table and a JSON
-// object with per-row timings, proposal throughput, and the SA core's
-// search counters.
+// produce identical placements. A second row per benchmark ("<name>/BA")
+// builds the BA flow's schedule and times place_components_baseline
+// against place_components_baseline_reference, verifying identical
+// origins and rotations. Reports a table and a JSON object with per-row
+// timings, proposal throughput, and the SA core's search counters.
 //
 //   build/bench/place_perf [--json-out FILE]
 
@@ -65,25 +64,6 @@ Scenario prepare(const Benchmark& bench) {
   return s;
 }
 
-bool identical(const Scenario& s, const std::vector<Placement>& a,
-               const std::vector<Placement>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    for (const auto& comp : s.alloc.components()) {
-      if (a[r].at(comp.id).origin != b[r].at(comp.id).origin ||
-          a[r].at(comp.id).rotated != b[r].at(comp.id).rotated) {
-        return false;
-      }
-    }
-    const double ea =
-        placement_energy(a[r], s.alloc, s.nets, s.placer.compaction_weight);
-    const double eb =
-        placement_energy(b[r], s.alloc, s.nets, s.placer.compaction_weight);
-    if (ea != eb) return false;  // bitwise
-  }
-  return true;
-}
-
 template <typename PlaceFn, typename Result>
 double time_place(const Scenario& s, PlaceFn place, Result& last) {
   double best = 0.0;
@@ -111,17 +91,6 @@ Scenario prepare_baseline(const Benchmark& bench) {
   s.schedule = schedule_bioassay(bench.graph, s.alloc, bench.wash, sched);
   s.chip = derive_grid(ChipSpec{}, allocation_area(s.alloc, 1));
   return s;
-}
-
-bool identical_baseline(const Scenario& s, const Placement& a,
-                        const Placement& b) {
-  for (const auto& comp : s.alloc.components()) {
-    if (a.at(comp.id).origin != b.at(comp.id).origin ||
-        a.at(comp.id).rotated != b.at(comp.id).rotated) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -170,7 +139,8 @@ int main(int argc, char** argv) {
         },
         ref);
 
-    if (!identical(s, core, ref)) {
+    const bool identical = core == ref;
+    if (!identical) {
       all_equal = false;
       std::cerr << "MISMATCH: " << s.name
                 << ": placer core result differs from reference\n";
@@ -194,7 +164,7 @@ int main(int argc, char** argv) {
          << ", \"core_seconds\": " << json_number(core_s)
          << ", \"speedup\": " << json_number(speedup)
          << ", \"proposals_per_second\": " << json_number(proposals_per_s)
-         << ", \"identical\": " << (identical(s, core, ref) ? "true" : "false")
+         << ", \"identical\": " << (identical ? "true" : "false")
          << ", \"placement\": {" << json_fields(stats) << "}}";
     first = false;
 
@@ -214,7 +184,7 @@ int main(int argc, char** argv) {
                                                      sc.chip);
         },
         ba_ref);
-    const bool ba_identical = identical_baseline(b, ba_core, ba_ref);
+    const bool ba_identical = ba_core == ba_ref;
     if (!ba_identical) {
       all_equal = false;
       std::cerr << "MISMATCH: " << b.name

@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
       }
       recorder.clear();
 
-      const bool identical = identical_schedules(off.schedule, on.schedule) &&
+      const bool identical = off.schedule == on.schedule &&
                              identical_routing(off.routing, on.routing);
       if (!identical) {
         all_identical = false;

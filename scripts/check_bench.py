@@ -465,6 +465,34 @@ def self_test():
         del doc["service"]["server_endpoints"]
         return doc
 
+    good_flow = {
+        "reps": 3,
+        "benchmarks": [
+            {
+                "name": "PCR/dcsa",
+                "speedup": 1.0,
+                "identical": True,
+                "flow": {"rounds": 1, "transports_rerouted": 3,
+                         "transports_reused": 0, "cells_evicted": 0},
+            },
+            {
+                "name": "CPA/baseline",
+                "speedup": 1.6,
+                "identical": True,
+                "flow": {"rounds": 3, "transports_rerouted": 47,
+                         "transports_reused": 58, "cells_evicted": 51},
+            },
+        ],
+        "geomean_speedup": 1.26,
+        "geomean_speedup_multi_round": 1.6,
+        "multi_round_configs": 1,
+    }
+
+    def edited(doc, edit):
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        return doc
+
     failures = []
 
     def case(name, content, extra_argv, want_exit, want_text=()):
@@ -518,6 +546,51 @@ def self_test():
         [],
         1,
         ["below the 1.00x floor"],
+    )
+    case(
+        "perf entry not identical fails",
+        edited(good_perf, lambda d: d["benchmarks"][0].update(identical=False)),
+        [],
+        1,
+        ["b1: core result is not reported identical"],
+    )
+    case(
+        "geomean below its --geomean floor fails",
+        good_perf,
+        ["--geomean", "report.json=3"],
+        1,
+        ["geomean speedup 2.000x is below the 3.00x floor"],
+    )
+    case("good flow report passes", good_flow, ["--flow"], 0,
+         ["all benchmark gates"])
+    case(
+        "flow config not identical fails",
+        edited(good_flow, lambda d: d["benchmarks"][1].update(identical=False)),
+        ["--flow"],
+        1,
+        ["CPA/baseline: incremental fixpoint is not reported identical"],
+    )
+    case(
+        "flow config below the per-config floor fails",
+        edited(good_flow, lambda d: d["benchmarks"][0].update(speedup=0.5)),
+        ["--flow"],
+        1,
+        ["PCR/dcsa: end-to-end speedup 0.500x is below the 0.85x floor"],
+    )
+    case(
+        "multi-round geomean below its floor fails",
+        edited(good_flow,
+               lambda d: d.update(geomean_speedup_multi_round=1.1)),
+        ["--flow"],
+        1,
+        ["multi-round geomean speedup 1.100x is below the 1.20x floor"],
+    )
+    case(
+        "flow report without a multi-round geomean fails",
+        edited(good_flow, lambda d: d.pop("geomean_speedup_multi_round")),
+        ["--flow"],
+        1,
+        ["missing geomean_speedup_multi_round"],
     )
     case(
         "service latency_ms not an object",

@@ -65,7 +65,8 @@ SequencingGraph generate_synthetic_graph(const SyntheticSpec& spec) {
       const double duration =
           rng.uniform_int(spec.min_duration, spec.max_duration);
       const double d = kDiffusionClasses[rng.uniform_int(0, 3)];
-      const std::string name = "s" + std::to_string(++op_counter);
+      const std::string name =
+          std::string("s").append(std::to_string(++op_counter));
       layer.push_back(graph.add_operation(
           name, type, duration, Fluid{name + "_out", d}));
     }

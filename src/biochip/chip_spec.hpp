@@ -36,6 +36,8 @@ struct ChipSpec {
   int cache_segment_cells = 3;
 
   bool has_fixed_grid() const { return grid_width > 0 && grid_height > 0; }
+
+  friend bool operator==(const ChipSpec&, const ChipSpec&) = default;
 };
 
 /// Derives a near-square grid whose area is `inflation` times the total

@@ -69,6 +69,8 @@ struct StageTimes {
     for (const auto& field : kFields) sum += this->*field.member;
     return sum;
   }
+
+  friend bool operator==(const StageTimes&, const StageTimes&) = default;
 };
 
 /// Routes `schedule` until the (schedule, routing) pair is consistent,

@@ -88,6 +88,11 @@ struct SynthesisResult {
   StageTimes stage_seconds;              ///< per-stage breakdown of cpu_seconds
 
   std::string summary() const;
+
+  /// Every member equal, run telemetry included: true of a result and its
+  /// synthesis_result_to_json round trip.
+  friend bool operator==(const SynthesisResult&,
+                         const SynthesisResult&) = default;
 };
 
 /// The proposed flow. Throws SchedulingError / RoutingError on infeasible

@@ -41,7 +41,9 @@ SequencingGraph merge_graphs(
     const SequencingGraph& source = *graphs[g];
     const std::string prefix = g < prefixes.size()
                                    ? prefixes[g]
-                                   : "a" + std::to_string(g + 1) + ":";
+                                   : std::string("a")
+                                         .append(std::to_string(g + 1))
+                                         .append(":");
     // Dense-id sources map 1:1 onto a contiguous block of merged ids.
     const int offset = static_cast<int>(merged.operation_count());
     for (const auto& op : source.operations()) {

@@ -19,6 +19,9 @@ namespace fbmb {
 struct PlacedComponent {
   Point origin;          ///< lower-left cell of the footprint
   bool rotated = false;  ///< true: width/height swapped
+
+  friend bool operator==(const PlacedComponent&,
+                         const PlacedComponent&) = default;
 };
 
 /// Positions for every component in an Allocation (indexed by ComponentId).
@@ -58,6 +61,9 @@ class Placement {
   std::string to_ascii(const Allocation& allocation, const ChipSpec& spec,
                        const std::vector<Point>& overlay = {},
                        char overlay_mark = '+') const;
+
+  /// Same components at the same origins and rotations.
+  friend bool operator==(const Placement&, const Placement&) = default;
 
  private:
   std::vector<PlacedComponent> placed_;

@@ -60,6 +60,7 @@ struct PlaceStats {
   };
 
   PlaceStats& operator+=(const PlaceStats& o) { return add_fields(*this, o); }
+  friend bool operator==(const PlaceStats&, const PlaceStats&) = default;
 };
 
 /// Dense grid of cell -> component id (-1 = free). Footprints of a legal

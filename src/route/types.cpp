@@ -54,24 +54,9 @@ int RoutingResult::total_routed_cells() const {
 }
 
 bool identical_routing(const RoutingResult& a, const RoutingResult& b) {
-  if (a.paths.size() != b.paths.size() || a.delays != b.delays ||
-      a.total_wash_time != b.total_wash_time ||
-      a.conflict_postponements != b.conflict_postponements) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.paths.size(); ++i) {
-    const RoutedPath& p = a.paths[i];
-    const RoutedPath& q = b.paths[i];
-    if (p.transport_id != q.transport_id ||
-        p.from_component != q.from_component ||
-        p.to_component != q.to_component || p.cells != q.cells ||
-        p.start != q.start || p.transport_end != q.transport_end ||
-        p.cache_until != q.cache_until ||
-        p.wash_duration != q.wash_duration || p.delay != q.delay) {
-      return false;
-    }
-  }
-  return true;
+  return a.paths == b.paths && a.delays == b.delays &&
+         a.total_wash_time == b.total_wash_time &&
+         a.conflict_postponements == b.conflict_postponements;
 }
 
 }  // namespace fbmb

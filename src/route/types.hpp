@@ -46,6 +46,7 @@ struct RouteStats {
   };
 
   RouteStats& operator+=(const RouteStats& o) { return add_fields(*this, o); }
+  friend bool operator==(const RouteStats&, const RouteStats&) = default;
 };
 
 /// Reuse counters for the route–retime fixpoint (core/flow_core.hpp),
@@ -67,6 +68,7 @@ struct FlowStats {
   };
 
   FlowStats& operator+=(const FlowStats& o) { return add_fields(*this, o); }
+  friend bool operator==(const FlowStats&, const FlowStats&) = default;
 };
 
 /// One routed transportation task.
@@ -84,6 +86,8 @@ struct RoutedPath {
   int length_cells() const {
     return cells.empty() ? 0 : static_cast<int>(cells.size()) - 1;
   }
+
+  friend bool operator==(const RoutedPath&, const RoutedPath&) = default;
 };
 
 /// Aggregate routing outcome for a schedule.
@@ -108,13 +112,13 @@ struct RoutingResult {
   /// Sum of per-path lengths (with sharing double-counted); used to compare
   /// routed detour against the distinct-channel metric.
   int total_routed_cells() const;
+
+  friend bool operator==(const RoutingResult&, const RoutingResult&) = default;
 };
 
-/// True when the two results are bit-identical apart from their
-/// telemetry-only RouteStats: same paths (cells and all timing doubles,
-/// in the same order), same per-transport delays, same wash total and
-/// postponement count. This is the equivalence relation the core-vs-
-/// reference tests and benches assert.
+/// True when the two results are == apart from their telemetry-only
+/// RouteStats. This is the equivalence relation the core-vs-reference
+/// tests and benches assert.
 bool identical_routing(const RoutingResult& a, const RoutingResult& b);
 
 }  // namespace fbmb

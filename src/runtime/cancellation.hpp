@@ -82,8 +82,6 @@ class CancellationToken {
            Clock::now().time_since_epoch().count() >= ns;
   }
 
-  bool should_stop() const { return cancelled() || deadline_expired(); }
-
   /// Throws SynthesisCancelled when the token fired; `stage` names the
   /// boundary for the exception message. Deadline expiry wins over an
   /// explicit cancel so a timed-out request reports 504, not 499.

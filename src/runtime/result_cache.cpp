@@ -23,11 +23,6 @@ std::optional<SynthesisResult> ResultCache::lookup(const Fingerprint& key) {
   return it->second->second;
 }
 
-bool ResultCache::contains(const Fingerprint& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return index_.find(key) != index_.end();
-}
-
 void ResultCache::insert(const Fingerprint& key, SynthesisResult result) {
   std::lock_guard<std::mutex> lock(mutex_);
   insert_locked(key, std::move(result), /*keep_existing=*/false);

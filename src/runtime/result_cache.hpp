@@ -35,9 +35,6 @@ class ResultCache {
   /// nullopt. Counts a hit or a miss.
   std::optional<SynthesisResult> lookup(const Fingerprint& key);
 
-  /// True iff `key` is cached; does not touch recency or counters.
-  bool contains(const Fingerprint& key) const;
-
   /// Inserts (or overwrites) the entry and marks it most recently used,
   /// evicting the LRU entry when over capacity.
   void insert(const Fingerprint& key, SynthesisResult result);

@@ -7,11 +7,11 @@
 #include <cstdlib>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "report/json.hpp"
-#include "util/fields.hpp"
 
 namespace fbmb {
 
@@ -236,365 +236,366 @@ std::optional<Value> parse(const std::string& text) {
 
 namespace {
 
-/// A double to be written as %.17g writes it, which round-trips every
-/// finite IEEE-754 double exactly.
-struct Exact {
-  double value;
+/// A JSON key, written `"start"_key`: a view of the text that precedes its
+/// value, `, "key": `, which the writer appends in one piece. The text is
+/// built at compile time into a template parameter object, so passing a
+/// key costs a pointer and a length, not a copy of the text.
+struct Key {
+  std::string_view text;
+
+  std::string_view name() const { return text.substr(3, text.size() - 6); }
 };
 
-Exact exact(double v) { return {v}; }
+/// The text of `"name"_key`.
+template <std::size_t N>
+struct KeyText {
+  consteval KeyText(const char (&name)[N]) {
+    std::string_view(", \"").copy(text, 3);
+    std::string_view(name, N - 1).copy(text + 3, N - 1);
+    std::string_view("\": ").copy(text + N + 2, 3);
+  }
+  char text[N + 5];
+};
 
-/// Appends JSON text to one string: text verbatim, integers and exact()
-/// doubles through std::to_chars. A bare double, bool or char does not
-/// compile, so no number is written in a second format by accident.
-class JsonOut {
+template <KeyText K>
+constexpr Key operator""_key() {
+  return {std::string_view(K.text, sizeof(K.text))};
+}
+
+/// How a stats table loads from spills written before it existed: an
+/// `optional` object may be absent, leaving every counter zero, and the
+/// key `added_later` may be absent from a present object, leaving that
+/// member zero.
+struct Legacy {
+  bool optional = false;
+  std::string_view added_later = {};
+};
+
+/// T is R or const R, so one field list serves the writer and the reader.
+template <class T, class R>
+concept Is = std::same_as<std::remove_const_t<T>, R>;
+
+// The schema of a result document: each record's JSON keys, once each, in
+// output order. FieldWriter and FieldReader both run these lists.
+// `io("key"_key, member)` names a key every document carries; a stats table
+// (util/fields.hpp) is written as its kFields rows and loads by a Legacy
+// rule.
+
+void fields(auto& io, Is<Fluid> auto& fluid) {
+  io("name"_key, fluid.name);
+  io("d"_key, fluid.diffusion_coefficient);
+}
+
+void fields(auto& io, Is<ScheduledOperation> auto& so) {
+  io("op"_key, so.op.value);
+  io("component"_key, so.component.value);
+  io("start"_key, so.start);
+  io("end"_key, so.end);
+  io("in_place_parent"_key, so.in_place_parent.value);
+}
+
+void fields(auto& io, Is<TransportTask> auto& t) {
+  io("id"_key, t.id);
+  io("producer"_key, t.producer.value);
+  io("consumer"_key, t.consumer.value);
+  io("from"_key, t.from.value);
+  io("to"_key, t.to.value);
+  io("fluid"_key, t.fluid);
+  io("departure"_key, t.departure);
+  io("transport_time"_key, t.transport_time);
+  io("consume"_key, t.consume);
+  io("evicted"_key, t.evicted);
+  io("departure_deadline"_key, t.departure_deadline);
+}
+
+void fields(auto& io, Is<ComponentWash> auto& w) {
+  io("component"_key, w.component.value);
+  io("residue_of"_key, w.residue_of.value);
+  io("residue"_key, w.residue);
+  io("start"_key, w.start);
+  io("end"_key, w.end);
+}
+
+void fields(auto& io, Is<Schedule> auto& schedule) {
+  io("completion_time"_key, schedule.completion_time);
+  io("transport_time"_key, schedule.transport_time);
+  io("operations"_key, schedule.operations);
+  io("transports"_key, schedule.transports);
+  io("washes"_key, schedule.component_washes);
+}
+
+void fields(auto& io, Is<PlacedComponent> auto& pc) {
+  io("x"_key, pc.origin.x);
+  io("y"_key, pc.origin.y);
+  io("rotated"_key, pc.rotated);
+}
+
+void fields(auto& io, Is<RoutedPath> auto& p) {
+  io("transport_id"_key, p.transport_id);
+  io("from_component"_key, p.from_component);
+  io("to_component"_key, p.to_component);
+  io("start"_key, p.start);
+  io("transport_end"_key, p.transport_end);
+  io("cache_until"_key, p.cache_until);
+  io("wash_duration"_key, p.wash_duration);
+  io("delay"_key, p.delay);
+  io("cells"_key, p.cells);
+}
+
+void fields(auto& io, Is<RoutingResult> auto& routing) {
+  io("total_wash_time"_key, routing.total_wash_time);
+  io("conflict_postponements"_key, routing.conflict_postponements);
+  io("route_stats"_key, routing.stats,
+     {.optional = true, .added_later = "fixpoints_capped"});
+  io("delays"_key, routing.delays);
+  io("paths"_key, routing.paths);
+}
+
+void fields(auto& io, Is<ScheduleStats> auto& stats) {
+  io("completion_time"_key, stats.completion_time);
+  io("utilization"_key, stats.utilization);
+  io("total_cache_time"_key, stats.total_cache_time);
+  io("component_wash_time"_key, stats.component_wash_time);
+  io("transport_count"_key, stats.transport_count);
+  io("eviction_count"_key, stats.eviction_count);
+  io("in_place_count"_key, stats.in_place_count);
+}
+
+void fields(auto& io, Is<ChipSpec> auto& chip) {
+  io("grid_width"_key, chip.grid_width);
+  io("grid_height"_key, chip.grid_height);
+  io("cell_pitch_mm"_key, chip.cell_pitch_mm);
+  io("transport_time"_key, chip.transport_time);
+  io("initial_cell_weight"_key, chip.initial_cell_weight);
+  io("component_spacing"_key, chip.component_spacing);
+  io("cache_segment_cells"_key, chip.cache_segment_cells);
+}
+
+void fields(auto& io, Is<SynthesisResult> auto& result) {
+  io("completion_time"_key, result.completion_time);
+  io("utilization"_key, result.utilization);
+  io("channel_length_mm"_key, result.channel_length_mm);
+  io("total_cache_time"_key, result.total_cache_time);
+  io("channel_wash_time"_key, result.channel_wash_time);
+  io("cpu_seconds"_key, result.cpu_seconds);
+  // grid_build was split out of the route span later.
+  io("stage_seconds"_key, result.stage_seconds, {.added_later = "grid_build"});
+  io("stats"_key, result.stats);
+  io("chip"_key, result.chip);
+  io("schedule"_key, result.schedule);
+  io("placement"_key, result.placement);
+  io("place_stats"_key, result.place_stats, {.optional = true});
+  io("sched_stats"_key, result.sched_stats, {.optional = true});
+  io("flow_stats"_key, result.flow_stats, {.optional = true});
+  io("routing"_key, result.routing);
+}
+
+/// Appends the JSON of field-listed records to one string: a record or
+/// stats table as {"key": value, ...}, a vector or Placement as
+/// [value,...], a Point as [x,y]. Numbers go through std::to_chars, and a
+/// double is written as %.17g writes it (to_chars with a precision is
+/// printf's %.*g in the C locale, whatever the global locale is), which
+/// round-trips every finite IEEE-754 double exactly.
+class FieldWriter {
  public:
-  explicit JsonOut(std::string& out) : out_(out) {}
+  explicit FieldWriter(std::string& out) : out_(out) {}
 
-  JsonOut& operator<<(std::string_view text) {
-    out_ += text;
-    return *this;
+  // Every served result runs this writer. As a call per field instead of
+  // inline code, it took 5 to 10% longer on results of 6 to 56 KB.
+  template <class T>
+  [[gnu::always_inline]] void operator()(Key key, const T& member,
+                                         Legacy = {}) {
+    out_ += first_ ? key.text.substr(2) : key.text;
+    write(member);
+    first_ = false;
+  }
+
+  // Numbers are appended by length: append(first, last) goes through the
+  // slower replace().
+  void write(double value) {
+    char buf[32];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::general, 17)
+                          .ptr;
+    out_.append(buf, static_cast<std::size_t>(end - buf));
   }
 
   template <std::integral T>
-    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
-  JsonOut& operator<<(T value) {
+    requires(!std::same_as<T, bool>)
+  void write(T value) {
     char buf[24];
-    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
-    return *this;
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    out_.append(buf, static_cast<std::size_t>(end - buf));
   }
 
-  // to_chars with an explicit precision is defined as printf's %.*g in
-  // the C locale, whatever the global locale is.
-  JsonOut& operator<<(Exact v) {
-    char buf[32];
-    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v.value,
-                                   std::chars_format::general, 17)
-                         .ptr);
-    return *this;
+  void write(bool value) { out_ += value ? "true" : "false"; }
+
+  void write(const std::string& text) { out_ += json_quote(text); }
+
+  void write(const Point& p) {
+    out_ += '[';
+    write(p.x);
+    out_ += ',';
+    write(p.y);
+    out_ += ']';
+  }
+
+  template <class T>
+  void write(const std::vector<T>& items) {
+    out_ += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i) out_ += ',';
+      write(items[i]);
+    }
+    out_ += ']';
+  }
+
+  void write(const Placement& placement) {
+    out_ += '[';
+    for (std::size_t i = 0; i < placement.size(); ++i) {
+      if (i) out_ += ',';
+      write(placement.at(ComponentId{static_cast<int>(i)}));
+    }
+    out_ += ']';
+  }
+
+  template <class S>
+    requires requires { S::kFields; }
+  void write(const S& table) {
+    out_ += '{';
+    std::string_view separator;
+    for (const auto& field : S::kFields) {
+      out_ += separator;
+      out_ += '"';
+      out_ += field.key;
+      out_ += "\": ";
+      write(table.*field.member);
+      separator = ", ";
+    }
+    out_ += '}';
+  }
+
+  template <class R>
+    requires requires(FieldWriter& io, const R& record) { fields(io, record); }
+  void write(const R& record) {
+    out_ += '{';
+    first_ = true;
+    fields(*this, record);
+    out_ += '}';
   }
 
  private:
   std::string& out_;
+  bool first_ = true;  ///< no member of the open object written yet
 };
 
-bool read_value(const jsonio::Value* v, double& out) {
-  if (!v || v->kind != jsonio::Value::Kind::kNumber) return false;
-  out = v->num;
-  return true;
-}
+/// Runs a field list over one parsed JSON object. A listed key that is
+/// missing or holds the wrong JSON type fails the read, except where a
+/// Legacy rule allows; keys no list names are ignored.
+class FieldReader {
+ public:
+  explicit FieldReader(const jsonio::Value& object) : object_(object) {}
 
-/// An integer field holds a JSON number that is an integer T represents:
-/// 3.5, 1e10 in an int, -1 in a counter and 1e400 (parsed as inf) are
-/// malformed like any other bad field, rather than cast out of range.
-template <std::integral T>
-bool read_value(const jsonio::Value* v, T& out) {
-  if (!v || v->kind != jsonio::Value::Kind::kNumber) return false;
-  // T holds [low, 2^digits), and powers of two are exact doubles.
-  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  const double low = std::numeric_limits<T>::is_signed ? -limit : 0.0;
-  if (!(v->num >= low && v->num < limit) || std::trunc(v->num) != v->num) {
-    return false;
+  template <class T>
+  void operator()(Key key, T& member) {
+    if (!read(object_.find(key.name()), member)) ok_ = false;
   }
-  out = static_cast<T>(v->num);
-  return true;
-}
 
-double get_num(const jsonio::Value& obj, const char* key, bool& ok) {
-  double value = 0.0;
-  if (!read_value(obj.find(key), value)) ok = false;
-  return value;
-}
-
-int get_int(const jsonio::Value& obj, const char* key, bool& ok) {
-  int value = 0;
-  if (!read_value(obj.find(key), value)) ok = false;
-  return value;
-}
-
-/// Reads every tabled member of `stats` from `obj`. A missing or malformed
-/// key fails, except that `added_later`, a key spills written before it
-/// existed lack, may be missing and then stays zero. Keys the table does
-/// not name are ignored.
-template <class S>
-void read_fields(const jsonio::Value& obj, S& stats, bool& ok,
-                 std::string_view added_later = {}) {
-  for (const auto& field : S::kFields) {
-    const jsonio::Value* v = obj.find(field.key);
-    if (!v && field.key == added_later) continue;
-    if (!read_value(v, stats.*field.member)) ok = false;
-  }
-}
-
-/// Reads the counter object `parent[key]` into `stats`. The object itself
-/// is optional: spills written before the struct's counters existed lack
-/// it and load with every counter at zero.
-template <class S>
-void read_counters(const jsonio::Value& parent, const char* key, S& stats,
-                   bool& ok, std::string_view added_later = {}) {
-  const jsonio::Value* obj = parent.find(key);
-  if (obj && obj->kind == jsonio::Value::Kind::kObject) {
-    read_fields(*obj, stats, ok, added_later);
-  }
-}
-
-bool get_bool(const jsonio::Value& obj, const char* key, bool& ok) {
-  const jsonio::Value* v = obj.find(key);
-  if (!v || v->kind != jsonio::Value::Kind::kBool) {
-    ok = false;
-    return false;
-  }
-  return v->b;
-}
-
-std::string get_str(const jsonio::Value& obj, const char* key, bool& ok) {
-  const jsonio::Value* v = obj.find(key);
-  if (!v || v->kind != jsonio::Value::Kind::kString) {
-    ok = false;
-    return {};
-  }
-  return v->str;
-}
-
-const jsonio::Value* get_array(const jsonio::Value& obj, const char* key,
-                               bool& ok) {
-  const jsonio::Value* v = obj.find(key);
-  if (!v || v->kind != jsonio::Value::Kind::kArray) {
-    ok = false;
-    return nullptr;
-  }
-  return v;
-}
-
-void write_fluid(JsonOut& os, const Fluid& fluid) {
-  os << "{\"name\": " << json_quote(fluid.name)
-     << ", \"d\": " << exact(fluid.diffusion_coefficient) << "}";
-}
-
-bool read_fluid(const jsonio::Value& obj, Fluid& fluid) {
-  bool ok = true;
-  fluid.name = get_str(obj, "name", ok);
-  fluid.diffusion_coefficient = get_num(obj, "d", ok);
-  return ok;
-}
-
-void write_schedule(JsonOut& os, const Schedule& schedule) {
-  os << "{\"completion_time\": " << exact(schedule.completion_time)
-     << ", \"transport_time\": " << exact(schedule.transport_time)
-     << ", \"operations\": [";
-  for (std::size_t i = 0; i < schedule.operations.size(); ++i) {
-    const ScheduledOperation& so = schedule.operations[i];
-    os << (i ? "," : "") << "{\"op\": " << so.op.value
-       << ", \"component\": " << so.component.value
-       << ", \"start\": " << exact(so.start)
-       << ", \"end\": " << exact(so.end)
-       << ", \"in_place_parent\": " << so.in_place_parent.value << "}";
-  }
-  os << "], \"transports\": [";
-  for (std::size_t i = 0; i < schedule.transports.size(); ++i) {
-    const TransportTask& t = schedule.transports[i];
-    os << (i ? "," : "") << "{\"id\": " << t.id
-       << ", \"producer\": " << t.producer.value
-       << ", \"consumer\": " << t.consumer.value
-       << ", \"from\": " << t.from.value << ", \"to\": " << t.to.value
-       << ", \"fluid\": ";
-    write_fluid(os, t.fluid);
-    os << ", \"departure\": " << exact(t.departure)
-       << ", \"transport_time\": " << exact(t.transport_time)
-       << ", \"consume\": " << exact(t.consume)
-       << ", \"evicted\": " << (t.evicted ? "true" : "false")
-       << ", \"departure_deadline\": " << exact(t.departure_deadline) << "}";
-  }
-  os << "], \"washes\": [";
-  for (std::size_t i = 0; i < schedule.component_washes.size(); ++i) {
-    const ComponentWash& w = schedule.component_washes[i];
-    os << (i ? "," : "") << "{\"component\": " << w.component.value
-       << ", \"residue_of\": " << w.residue_of.value << ", \"residue\": ";
-    write_fluid(os, w.residue);
-    os << ", \"start\": " << exact(w.start) << ", \"end\": " << exact(w.end)
-       << "}";
-  }
-  os << "]}";
-}
-
-bool read_schedule(const jsonio::Value& obj, Schedule& schedule) {
-  bool ok = true;
-  schedule.completion_time = get_num(obj, "completion_time", ok);
-  schedule.transport_time = get_num(obj, "transport_time", ok);
-  const jsonio::Value* ops = get_array(obj, "operations", ok);
-  const jsonio::Value* transports = get_array(obj, "transports", ok);
-  const jsonio::Value* washes = get_array(obj, "washes", ok);
-  if (!ok) return false;
-  for (const jsonio::Value& o : ops->array) {
-    ScheduledOperation so;
-    so.op.value = get_int(o, "op", ok);
-    so.component.value = get_int(o, "component", ok);
-    so.start = get_num(o, "start", ok);
-    so.end = get_num(o, "end", ok);
-    so.in_place_parent.value = get_int(o, "in_place_parent", ok);
-    schedule.operations.push_back(so);
-  }
-  for (const jsonio::Value& o : transports->array) {
-    TransportTask t;
-    t.id = get_int(o, "id", ok);
-    t.producer.value = get_int(o, "producer", ok);
-    t.consumer.value = get_int(o, "consumer", ok);
-    t.from.value = get_int(o, "from", ok);
-    t.to.value = get_int(o, "to", ok);
-    const jsonio::Value* fluid = o.find("fluid");
-    if (!fluid || !read_fluid(*fluid, t.fluid)) return false;
-    t.departure = get_num(o, "departure", ok);
-    t.transport_time = get_num(o, "transport_time", ok);
-    t.consume = get_num(o, "consume", ok);
-    t.evicted = get_bool(o, "evicted", ok);
-    t.departure_deadline = get_num(o, "departure_deadline", ok);
-    schedule.transports.push_back(std::move(t));
-  }
-  for (const jsonio::Value& o : washes->array) {
-    ComponentWash w;
-    w.component.value = get_int(o, "component", ok);
-    w.residue_of.value = get_int(o, "residue_of", ok);
-    const jsonio::Value* residue = o.find("residue");
-    if (!residue || !read_fluid(*residue, w.residue)) return false;
-    w.start = get_num(o, "start", ok);
-    w.end = get_num(o, "end", ok);
-    schedule.component_washes.push_back(std::move(w));
-  }
-  return ok;
-}
-
-void write_placement(JsonOut& os, const Placement& placement) {
-  os << "[";
-  for (std::size_t i = 0; i < placement.size(); ++i) {
-    const PlacedComponent& pc = placement.at(ComponentId{static_cast<int>(i)});
-    os << (i ? "," : "") << "{\"x\": " << pc.origin.x
-       << ", \"y\": " << pc.origin.y
-       << ", \"rotated\": " << (pc.rotated ? "true" : "false") << "}";
-  }
-  os << "]";
-}
-
-bool read_placement(const jsonio::Value& arr, Placement& placement) {
-  if (arr.kind != jsonio::Value::Kind::kArray) return false;
-  placement = Placement(arr.array.size());
-  bool ok = true;
-  for (std::size_t i = 0; i < arr.array.size(); ++i) {
-    const jsonio::Value& o = arr.array[i];
-    PlacedComponent& pc = placement.at(ComponentId{static_cast<int>(i)});
-    pc.origin.x = get_int(o, "x", ok);
-    pc.origin.y = get_int(o, "y", ok);
-    pc.rotated = get_bool(o, "rotated", ok);
-  }
-  return ok;
-}
-
-void write_routing(JsonOut& os, const RoutingResult& routing) {
-  os << "{\"total_wash_time\": " << exact(routing.total_wash_time)
-     << ", \"conflict_postponements\": " << routing.conflict_postponements
-     << ", \"route_stats\": {" << json_fields(routing.stats)
-     << "}, \"delays\": [";
-  for (std::size_t i = 0; i < routing.delays.size(); ++i) {
-    os << (i ? "," : "") << exact(routing.delays[i]);
-  }
-  os << "], \"paths\": [";
-  for (std::size_t i = 0; i < routing.paths.size(); ++i) {
-    const RoutedPath& p = routing.paths[i];
-    os << (i ? "," : "") << "{\"transport_id\": " << p.transport_id
-       << ", \"from_component\": " << p.from_component
-       << ", \"to_component\": " << p.to_component
-       << ", \"start\": " << exact(p.start)
-       << ", \"transport_end\": " << exact(p.transport_end)
-       << ", \"cache_until\": " << exact(p.cache_until)
-       << ", \"wash_duration\": " << exact(p.wash_duration)
-       << ", \"delay\": " << exact(p.delay) << ", \"cells\": [";
-    for (std::size_t c = 0; c < p.cells.size(); ++c) {
-      os << (c ? "," : "") << "[" << p.cells[c].x << "," << p.cells[c].y
-         << "]";
+  template <class S>
+  void operator()(Key key, S& table, Legacy legacy) {
+    const jsonio::Value* object = object_.find(key.name());
+    if (!object || object->kind != jsonio::Value::Kind::kObject) {
+      if (!legacy.optional) ok_ = false;
+      return;
     }
-    os << "]}";
-  }
-  os << "]}";
-}
-
-bool read_routing(const jsonio::Value& obj, RoutingResult& routing) {
-  bool ok = true;
-  routing.total_wash_time = get_num(obj, "total_wash_time", ok);
-  routing.conflict_postponements = get_int(obj, "conflict_postponements", ok);
-  // fixpoints_capped was added to route_stats later.
-  read_counters(obj, "route_stats", routing.stats, ok, "fixpoints_capped");
-  const jsonio::Value* delays = get_array(obj, "delays", ok);
-  const jsonio::Value* paths = get_array(obj, "paths", ok);
-  if (!ok) return false;
-  for (const jsonio::Value& d : delays->array) {
-    if (d.kind != jsonio::Value::Kind::kNumber) return false;
-    routing.delays.push_back(d.num);
-  }
-  for (const jsonio::Value& o : paths->array) {
-    RoutedPath p;
-    p.transport_id = get_int(o, "transport_id", ok);
-    p.from_component = get_int(o, "from_component", ok);
-    p.to_component = get_int(o, "to_component", ok);
-    p.start = get_num(o, "start", ok);
-    p.transport_end = get_num(o, "transport_end", ok);
-    p.cache_until = get_num(o, "cache_until", ok);
-    p.wash_duration = get_num(o, "wash_duration", ok);
-    p.delay = get_num(o, "delay", ok);
-    const jsonio::Value* cells = get_array(o, "cells", ok);
-    if (!ok) return false;
-    for (const jsonio::Value& cell : cells->array) {
-      Point point;
-      if (cell.kind != jsonio::Value::Kind::kArray ||
-          cell.array.size() != 2 ||
-          !read_value(&cell.array[0], point.x) ||
-          !read_value(&cell.array[1], point.y)) {
-        return false;
-      }
-      p.cells.push_back(point);
+    for (const auto& field : S::kFields) {
+      const jsonio::Value* v = object->find(field.key);
+      if (!v && field.key == legacy.added_later) continue;
+      if (!read(v, table.*field.member)) ok_ = false;
     }
-    routing.paths.push_back(std::move(p));
   }
-  return ok;
-}
+
+  /// Reads `out` from `v`; false when `v` is null or malformed.
+  static bool read(const jsonio::Value* v, double& out) {
+    if (!v || v->kind != jsonio::Value::Kind::kNumber) return false;
+    out = v->num;
+    return true;
+  }
+
+  /// An integer holds a JSON number that is an integer T represents: 3.5,
+  /// 1e10 in an int, -1 in a counter and 1e400 (parsed as inf) are
+  /// malformed like any other bad field, rather than cast out of range.
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  static bool read(const jsonio::Value* v, T& out) {
+    if (!v || v->kind != jsonio::Value::Kind::kNumber) return false;
+    // T holds [low, 2^digits), and powers of two are exact doubles.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double low = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+    if (!(v->num >= low && v->num < limit) || std::trunc(v->num) != v->num) {
+      return false;
+    }
+    out = static_cast<T>(v->num);
+    return true;
+  }
+
+  static bool read(const jsonio::Value* v, bool& out) {
+    if (!v || v->kind != jsonio::Value::Kind::kBool) return false;
+    out = v->b;
+    return true;
+  }
+
+  static bool read(const jsonio::Value* v, std::string& out) {
+    if (!v || v->kind != jsonio::Value::Kind::kString) return false;
+    out = v->str;
+    return true;
+  }
+
+  static bool read(const jsonio::Value* v, Point& out) {
+    return v && v->kind == jsonio::Value::Kind::kArray &&
+           v->array.size() == 2 && read(&v->array[0], out.x) &&
+           read(&v->array[1], out.y);
+  }
+
+  template <class T>
+  static bool read(const jsonio::Value* v, std::vector<T>& out) {
+    if (!v || v->kind != jsonio::Value::Kind::kArray) return false;
+    out.resize(v->array.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (!read(&v->array[i], out[i])) return false;
+    }
+    return true;
+  }
+
+  static bool read(const jsonio::Value* v, Placement& out) {
+    std::vector<PlacedComponent> placed;
+    if (!read(v, placed)) return false;
+    out = Placement(placed.size());
+    for (std::size_t i = 0; i < placed.size(); ++i) {
+      out.at(ComponentId{static_cast<int>(i)}) = placed[i];
+    }
+    return true;
+  }
+
+  template <class R>
+    requires requires(FieldReader& io, R& record) { fields(io, record); }
+  static bool read(const jsonio::Value* v, R& record) {
+    if (!v || v->kind != jsonio::Value::Kind::kObject) return false;
+    FieldReader io(*v);
+    fields(io, record);
+    return io.ok_;
+  }
+
+ private:
+  const jsonio::Value& object_;
+  bool ok_ = true;
+};
 
 }  // namespace
 
 void append_synthesis_result_json(std::string& out,
                                   const SynthesisResult& result) {
-  JsonOut os(out);
-  os << "{\"completion_time\": " << exact(result.completion_time)
-     << ", \"utilization\": " << exact(result.utilization)
-     << ", \"channel_length_mm\": " << exact(result.channel_length_mm)
-     << ", \"total_cache_time\": " << exact(result.total_cache_time)
-     << ", \"channel_wash_time\": " << exact(result.channel_wash_time)
-     << ", \"cpu_seconds\": " << exact(result.cpu_seconds)
-     << ", \"stage_seconds\": {" << json_fields(result.stage_seconds, exact)
-     << "}, \"stats\": {\"completion_time\": "
-     << exact(result.stats.completion_time)
-     << ", \"utilization\": " << exact(result.stats.utilization)
-     << ", \"total_cache_time\": " << exact(result.stats.total_cache_time)
-     << ", \"component_wash_time\": "
-     << exact(result.stats.component_wash_time)
-     << ", \"transport_count\": " << result.stats.transport_count
-     << ", \"eviction_count\": " << result.stats.eviction_count
-     << ", \"in_place_count\": " << result.stats.in_place_count
-     << "}, \"chip\": {\"grid_width\": " << result.chip.grid_width
-     << ", \"grid_height\": " << result.chip.grid_height
-     << ", \"cell_pitch_mm\": " << exact(result.chip.cell_pitch_mm)
-     << ", \"transport_time\": " << exact(result.chip.transport_time)
-     << ", \"initial_cell_weight\": "
-     << exact(result.chip.initial_cell_weight)
-     << ", \"component_spacing\": " << result.chip.component_spacing
-     << ", \"cache_segment_cells\": " << result.chip.cache_segment_cells
-     << "}, \"schedule\": ";
-  write_schedule(os, result.schedule);
-  os << ", \"placement\": ";
-  write_placement(os, result.placement);
-  os << ", \"place_stats\": {" << json_fields(result.place_stats)
-     << "}, \"sched_stats\": {" << json_fields(result.sched_stats)
-     << "}, \"flow_stats\": {" << json_fields(result.flow_stats)
-     << "}, \"routing\": ";
-  write_routing(os, result.routing);
-  os << "}";
+  FieldWriter(out).write(result);
 }
 
 std::string synthesis_result_to_json(const SynthesisResult& result) {
@@ -614,52 +615,8 @@ std::optional<SynthesisResult> synthesis_result_from_json(
 
 std::optional<SynthesisResult> synthesis_result_from_value(
     const jsonio::Value& root) {
-  if (root.kind != jsonio::Value::Kind::kObject) return std::nullopt;
   SynthesisResult result;
-  bool ok = true;
-  result.completion_time = get_num(root, "completion_time", ok);
-  result.utilization = get_num(root, "utilization", ok);
-  result.channel_length_mm = get_num(root, "channel_length_mm", ok);
-  result.total_cache_time = get_num(root, "total_cache_time", ok);
-  result.channel_wash_time = get_num(root, "channel_wash_time", ok);
-  result.cpu_seconds = get_num(root, "cpu_seconds", ok);
-  const jsonio::Value* stages = root.find("stage_seconds");
-  if (!stages) return std::nullopt;
-  // grid_build was split out of the route span later.
-  read_fields(*stages, result.stage_seconds, ok, "grid_build");
-  const jsonio::Value* stats = root.find("stats");
-  if (!stats) return std::nullopt;
-  result.stats.completion_time = get_num(*stats, "completion_time", ok);
-  result.stats.utilization = get_num(*stats, "utilization", ok);
-  result.stats.total_cache_time = get_num(*stats, "total_cache_time", ok);
-  result.stats.component_wash_time =
-      get_num(*stats, "component_wash_time", ok);
-  result.stats.transport_count = get_int(*stats, "transport_count", ok);
-  result.stats.eviction_count = get_int(*stats, "eviction_count", ok);
-  result.stats.in_place_count = get_int(*stats, "in_place_count", ok);
-  const jsonio::Value* chip = root.find("chip");
-  if (!chip) return std::nullopt;
-  result.chip.grid_width = get_int(*chip, "grid_width", ok);
-  result.chip.grid_height = get_int(*chip, "grid_height", ok);
-  result.chip.cell_pitch_mm = get_num(*chip, "cell_pitch_mm", ok);
-  result.chip.transport_time = get_num(*chip, "transport_time", ok);
-  result.chip.initial_cell_weight =
-      get_num(*chip, "initial_cell_weight", ok);
-  result.chip.component_spacing = get_int(*chip, "component_spacing", ok);
-  result.chip.cache_segment_cells =
-      get_int(*chip, "cache_segment_cells", ok);
-  // Keys the reader no longer knows, such as the four routing-thread
-  // counters older flow_stats objects carry, are ignored.
-  read_counters(root, "place_stats", result.place_stats, ok);
-  read_counters(root, "sched_stats", result.sched_stats, ok);
-  read_counters(root, "flow_stats", result.flow_stats, ok);
-  const jsonio::Value* schedule = root.find("schedule");
-  const jsonio::Value* placement = root.find("placement");
-  const jsonio::Value* routing = root.find("routing");
-  if (!ok || !schedule || !placement || !routing) return std::nullopt;
-  if (!read_schedule(*schedule, result.schedule)) return std::nullopt;
-  if (!read_placement(*placement, result.placement)) return std::nullopt;
-  if (!read_routing(*routing, result.routing)) return std::nullopt;
+  if (!FieldReader::read(&root, result)) return std::nullopt;
   return result;
 }
 

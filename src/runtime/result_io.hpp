@@ -1,9 +1,11 @@
 // Lossless JSON round-trip of SynthesisResult, used by the result cache's
-// spill-to-disk and loadable by external tooling. Doubles are written as
-// %.17g writes them, via std::to_chars, which unlike printf does not
-// depend on the C locale. Every IEEE-754 value round-trips bit-exactly: a
-// result loaded from disk is indistinguishable from the freshly computed
-// one.
+// spill-to-disk and loadable by external tooling. The schema is the field
+// lists in result_io.cpp: one per record, naming each key once in output
+// order, run by both the writer and the reader; docs/RUNTIME.md gives the
+// rules by which older spills still load. Doubles are written as %.17g
+// writes them, via std::to_chars, which unlike printf does not depend on
+// the C locale. Every IEEE-754 value round-trips bit-exactly: a result
+// loaded from disk is indistinguishable from the freshly computed one.
 //
 // The reader is a small recursive-descent JSON parser (objects, arrays,
 // strings, numbers, booleans, null) — enough for documents this module and
@@ -48,7 +50,7 @@ std::optional<Value> parse(const std::string& text);
 
 }  // namespace jsonio
 
-/// The complete result as one JSON object (schema in docs/RUNTIME.md).
+/// The complete result as one JSON object.
 std::string synthesis_result_to_json(const SynthesisResult& result);
 
 /// Appends synthesis_result_to_json(result) to `out`.

@@ -11,13 +11,9 @@
 // counters are summed and written by looping over each struct's field
 // table (util/fields.hpp), so a new counter is one member plus one table
 // row.
-//
-// ScopedStageTimer is the lightweight span primitive: it measures the
-// lifetime of a scope and adds it to a double, e.g. a StageTimes field.
 
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -27,24 +23,6 @@
 #include "route/types.hpp"
 
 namespace fbmb {
-
-/// Adds the scope's wall time to `sink` on destruction.
-class ScopedStageTimer {
- public:
-  explicit ScopedStageTimer(double& sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedStageTimer() {
-    sink_ += std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - start_)
-                 .count();
-  }
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  double& sink_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 class Telemetry {
  public:

@@ -26,6 +26,8 @@ struct ScheduleStats {
   int transport_count = 0;
   int eviction_count = 0;
   int in_place_count = 0;
+
+  friend bool operator==(const ScheduleStats&, const ScheduleStats&) = default;
 };
 
 ScheduleStats compute_schedule_stats(const Schedule& schedule,

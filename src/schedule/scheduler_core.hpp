@@ -70,6 +70,7 @@ struct SchedStats {
   };
 
   SchedStats& operator+=(const SchedStats& o) { return add_fields(*this, o); }
+  friend bool operator==(const SchedStats&, const SchedStats&) = default;
 };
 
 /// One scheduling pass over a fixed (graph, allocation, wash model,

@@ -68,43 +68,4 @@ std::string Schedule::to_string(const SequencingGraph& graph) const {
   return os.str();
 }
 
-bool identical_schedules(const Schedule& a, const Schedule& b) {
-  if (a.operations.size() != b.operations.size() ||
-      a.transports.size() != b.transports.size() ||
-      a.component_washes.size() != b.component_washes.size() ||
-      a.completion_time != b.completion_time ||
-      a.transport_time != b.transport_time) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.operations.size(); ++i) {
-    const ScheduledOperation& x = a.operations[i];
-    const ScheduledOperation& y = b.operations[i];
-    if (x.op != y.op || x.component != y.component || x.start != y.start ||
-        x.end != y.end || x.in_place_parent != y.in_place_parent) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.transports.size(); ++i) {
-    const TransportTask& x = a.transports[i];
-    const TransportTask& y = b.transports[i];
-    if (x.id != y.id || x.producer != y.producer ||
-        x.consumer != y.consumer || x.from != y.from || x.to != y.to ||
-        x.fluid != y.fluid || x.departure != y.departure ||
-        x.transport_time != y.transport_time ||
-        x.consume != y.consume || x.evicted != y.evicted ||
-        x.departure_deadline != y.departure_deadline) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.component_washes.size(); ++i) {
-    const ComponentWash& x = a.component_washes[i];
-    const ComponentWash& y = b.component_washes[i];
-    if (x.component != y.component || x.residue_of != y.residue_of ||
-        x.residue != y.residue || x.start != y.start || x.end != y.end) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace fbmb

@@ -35,6 +35,9 @@ struct ScheduledOperation {
 
   double duration() const { return end - start; }
   bool consumed_in_place() const { return in_place_parent.valid(); }
+
+  friend bool operator==(const ScheduledOperation&,
+                         const ScheduledOperation&) = default;
 };
 
 /// Movement of out(producer) from the producer's component to the
@@ -63,6 +66,8 @@ struct TransportTask {
     const double dwell = consume - arrival();
     return dwell > 0.0 ? dwell : 0.0;
   }
+
+  friend bool operator==(const TransportTask&, const TransportTask&) = default;
 };
 
 /// A component wash: buffer flush removing `residue` before reuse (Eq. 2).
@@ -74,6 +79,8 @@ struct ComponentWash {
   double end = 0.0;
 
   double duration() const { return end - start; }
+
+  friend bool operator==(const ComponentWash&, const ComponentWash&) = default;
 };
 
 /// Complete binding & scheduling result.
@@ -103,12 +110,10 @@ struct Schedule {
 
   /// Human-readable timeline (one line per operation/transport).
   std::string to_string(const SequencingGraph& graph) const;
-};
 
-/// Bit-identical comparison of two schedules: every operation binding and
-/// time, every transport field, every wash window, completion time, and
-/// transport_time must match exactly (==, no tolerance). This is the
-/// equivalence the core-vs-reference oracle tests and benches assert.
-bool identical_schedules(const Schedule& a, const Schedule& b);
+  /// Every member equal, doubles exactly (no tolerance): the equivalence
+  /// the core-vs-reference oracle, tests and benches assert.
+  friend bool operator==(const Schedule&, const Schedule&) = default;
+};
 
 }  // namespace fbmb

@@ -208,12 +208,6 @@ ParseStatus HttpRequestParser::feed(const char* data, std::size_t size) {
   return parse();
 }
 
-ParseStatus HttpRequestParser::fail(const std::string& reason) {
-  error_ = reason;
-  status_ = ParseStatus::kBadRequest;
-  return status_;
-}
-
 ParseStatus HttpRequestParser::parse() {
   HttpRequest& req = request_;
   status_ = parse_message(
@@ -303,12 +297,6 @@ ParseStatus HttpResponseParser::feed(const char* data, std::size_t size) {
   if (status_ != ParseStatus::kNeedMore) return status_;
   buffer_.append(data, size);
   return parse();
-}
-
-ParseStatus HttpResponseParser::fail(const std::string& reason) {
-  error_ = reason;
-  status_ = ParseStatus::kBadRequest;
-  return status_;
 }
 
 ParseStatus HttpResponseParser::parse() {

@@ -74,7 +74,6 @@ class HttpRequestParser {
   void reset();
 
  private:
-  ParseStatus fail(const std::string& reason);
   ParseStatus parse();
 
   HttpLimits limits_;
@@ -123,7 +122,6 @@ class HttpResponseParser {
   void reset();
 
  private:
-  ParseStatus fail(const std::string& reason);
   ParseStatus parse();
 
   HttpLimits limits_;

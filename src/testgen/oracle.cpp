@@ -69,18 +69,6 @@ bool errors_agree(const char* stage, const Outcome<T>& core,
   return false;
 }
 
-bool identical_placements(const Placement& a, const Placement& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const ComponentId id{static_cast<int>(i)};
-    if (a.at(id).origin != b.at(id).origin ||
-        a.at(id).rotated != b.at(id).rotated) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// kScheduleOffByOne: shift the first >=2-parent operation by one second.
 /// Returns false when the fault has no anchor in this scenario.
 bool inject_schedule_fault(const SequencingGraph& graph, Schedule& schedule) {
@@ -167,7 +155,7 @@ OracleReport run_differential_oracle(const Scenario& scenario,
   if (options.inject == FaultInjection::kScheduleOffByOne) {
     inject_schedule_fault(scenario.graph, *core_schedule.value);
   }
-  if (!identical_schedules(*core_schedule.value, *ref_schedule.value)) {
+  if (*core_schedule.value != *ref_schedule.value) {
     report.fail("scheduler: core and reference schedules diverge");
     return report;
   }
@@ -190,7 +178,7 @@ OracleReport run_differential_oracle(const Scenario& scenario,
                                       chip, placer_options);
   });
   if (!errors_agree("placer", core_place, ref_place, report)) return report;
-  if (!identical_placements(*core_place.value, *ref_place.value)) {
+  if (*core_place.value != *ref_place.value) {
     report.fail("placer: core and reference placements diverge");
     return report;
   }
@@ -211,7 +199,7 @@ OracleReport run_differential_oracle(const Scenario& scenario,
   if (!errors_agree("baseline placer", core_baseline, ref_baseline, report)) {
     return report;
   }
-  if (!identical_placements(*core_baseline.value, *ref_baseline.value)) {
+  if (*core_baseline.value != *ref_baseline.value) {
     report.fail("baseline placer: core and reference placements diverge");
     return report;
   }
@@ -259,8 +247,7 @@ OracleReport run_differential_oracle(const Scenario& scenario,
     return run;
   });
   if (!errors_agree("fixpoint", core_flow, ref_flow, report)) return report;
-  if (!identical_schedules(core_flow.value->schedule,
-                           ref_flow.value->schedule)) {
+  if (core_flow.value->schedule != ref_flow.value->schedule) {
     report.fail("fixpoint: retimed schedules diverge");
   }
   if (!identical_routing(core_flow.value->routing,

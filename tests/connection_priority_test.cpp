@@ -16,7 +16,7 @@ TransportTask make_transport(int id, int from, int to, double dep,
   t.id = id;
   t.from = ComponentId{from};
   t.to = ComponentId{to};
-  t.fluid = Fluid{"f" + std::to_string(id), diffusion};
+  t.fluid = Fluid{std::string("f").append(std::to_string(id)), diffusion};
   t.departure = dep;
   t.transport_time = t_c;
   t.consume = consume;

@@ -104,8 +104,7 @@ void run_benchmark(const Benchmark& bench, bool converges = true,
         reference_schedule, bench.graph, s.alloc, s.chip, s.placement,
         bench.wash, s.router, reference_stages, {});
 
-    EXPECT_TRUE(identical_schedules(incremental_schedule,
-                                    reference_schedule));
+    EXPECT_TRUE(incremental_schedule == reference_schedule);
     EXPECT_TRUE(identical_routing(incremental, reference));
     // Bit-identical includes the capped flag: neither preset should hit
     // the 20-round cap on the paper benchmarks.

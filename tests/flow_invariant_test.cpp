@@ -177,7 +177,7 @@ TEST(FlowInvariants, CappedFixpointStaysConsistent) {
   expect_valid(s, bench, ref_schedule, ref);
 
   // The capped paths of the two fixpoints stay bit-identical too.
-  EXPECT_TRUE(identical_schedules(schedule, ref_schedule));
+  EXPECT_TRUE(schedule == ref_schedule);
   EXPECT_TRUE(identical_routing(routing, ref));
 }
 
@@ -245,7 +245,7 @@ TEST(FlowInvariants, SpillRoundTripsFlowCounters) {
   EXPECT_EQ(old->flow_stats.rounds, 0u);
   EXPECT_EQ(old->routing.stats.fixpoints_capped, 0u);
   EXPECT_EQ(old->stage_seconds.grid_build, 0.0);
-  EXPECT_TRUE(identical_schedules(old->schedule, result.schedule));
+  EXPECT_TRUE(old->schedule == result.schedule);
 }
 
 /// Telemetry must aggregate and emit the new counters.

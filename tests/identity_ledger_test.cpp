@@ -14,18 +14,28 @@
 // actual ledger beside the test binary. A change that moves results on
 // purpose copies it over the committed file with the command the failure
 // prints (docs/TESTING.md), and explains every moved line.
+//
+// tests/identity_spill.json is a ResultCache spill of three ledger inputs
+// (kSpillKeys), kept with their real run telemetry. Every entry must load,
+// hit under its input's fingerprint and digest to its ledger line, and
+// saving the loaded cache must reproduce the file byte for byte, so a
+// format change that stops old spills loading or rewrites them fails here.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/synthetic.hpp"
 #include "report/json.hpp"
+#include "runtime/result_cache.hpp"
 #include "runtime/result_io.hpp"
 #include "runtime/synthesis_engine.hpp"
 #include "util/rng.hpp"
@@ -62,6 +72,11 @@ std::vector<SynthesisJob> ledger_jobs() {
 }
 
 /// "name flow": the key a ledger line is matched by.
+std::string job_key(const SynthesisJob& job) {
+  return job.name + " " + flow_preset_name(job.flow);
+}
+
+/// The job_key a ledger line belongs to.
 std::string line_key(const std::string& line) {
   std::istringstream in(line);
   std::string name, flow;
@@ -69,16 +84,28 @@ std::string line_key(const std::string& line) {
   return name + " " + flow;
 }
 
-std::string ledger_line(const SynthesisJob& job, JobOutcome outcome) {
-  SynthesisResult& result = outcome.result;
+/// Column `index` (0-based) of a ledger line.
+std::string line_column(const std::string& line, int index) {
+  std::istringstream in(line);
+  std::string column;
+  for (int i = 0; i <= index; ++i) in >> column;
+  return column;
+}
+
+/// Digest of the result JSON with the run telemetry zeroed.
+std::string result_digest(SynthesisResult result) {
   result.cpu_seconds = 0.0;
   result.stage_seconds = StageTimes{};
   InputHasher digest;
   digest.str(synthesis_result_to_json(result));
-  return job.name + " " + flow_preset_name(job.flow) + " " +
-         outcome.fingerprint.to_hex() + " " + digest.digest().to_hex() +
-         " " + json_number(result.completion_time) + " " +
-         json_number(result.channel_length_mm) + " " +
+  return digest.digest().to_hex();
+}
+
+std::string ledger_line(const SynthesisJob& job, const JobOutcome& outcome) {
+  const SynthesisResult& result = outcome.result;
+  return job_key(job) + " " + outcome.fingerprint.to_hex() + " " +
+         result_digest(result) + " " + json_number(result.completion_time) +
+         " " + json_number(result.channel_length_mm) + " " +
          json_number(result.channel_wash_time) + " " +
          json_number(result.total_cache_time) + " " +
          std::to_string(result.routing.stats.fixpoints_capped);
@@ -93,17 +120,31 @@ std::map<std::string, std::string> read_ledger(std::istream& in) {
   return lines;
 }
 
-TEST(IdentityLedger, EveryInputMatchesTheCommittedLedger) {
+/// Runs every ledger job, in ledger_jobs() order.
+std::vector<JobOutcome> run_ledger_jobs(const std::vector<SynthesisJob>& jobs) {
   SynthesisEngineOptions engine_options;
   engine_options.threads = 1;
   SynthesisEngine engine(engine_options);
+  std::vector<JobOutcome> outcomes;
+  for (const SynthesisJob& job : jobs) outcomes.push_back(engine.run_job(job));
+  return outcomes;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(IdentityLedger, EveryInputMatchesTheCommittedLedger) {
+  const std::vector<SynthesisJob> jobs = ledger_jobs();
+  const std::vector<JobOutcome> outcomes = run_ledger_jobs(jobs);
   std::string actual =
       "# Identity ledger (tests/identity_ledger_test.cpp). Columns:\n"
       "# name flow fingerprint result_digest completion_s "
       "channel_length_mm channel_wash_s cache_time_s fixpoints_capped\n";
   std::map<std::string, std::string> got;
-  for (const SynthesisJob& job : ledger_jobs()) {
-    const std::string line = ledger_line(job, engine.run_job(job));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string line = ledger_line(jobs[i], outcomes[i]);
     actual += line + "\n";
     got[line_key(line)] = line;
   }
@@ -134,6 +175,83 @@ TEST(IdentityLedger, EveryInputMatchesTheCommittedLedger) {
                 << ". If every move is intended, explain each in CHANGES.md "
                    "and run:\n  cp "
                 << MSYNTH_LEDGER_ACTUAL << " " << MSYNTH_LEDGER_FILE;
+}
+
+TEST(IdentityLedger, EveryResultIsAParseSerializeFixedPoint) {
+  const std::vector<SynthesisJob> jobs = ledger_jobs();
+  const std::vector<JobOutcome> outcomes = run_ledger_jobs(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string json = synthesis_result_to_json(outcomes[i].result);
+    const std::optional<SynthesisResult> parsed =
+        synthesis_result_from_json(json);
+    ASSERT_TRUE(parsed.has_value()) << job_key(jobs[i]);
+    EXPECT_TRUE(*parsed == outcomes[i].result) << job_key(jobs[i]);
+    EXPECT_EQ(synthesis_result_to_json(*parsed), json) << job_key(jobs[i]);
+  }
+}
+
+/// The ledger inputs tests/identity_spill.json holds: one DCSA, one BA and
+/// the capped job.
+constexpr std::string_view kSpillKeys[] = {"CPA dcsa", "CPA baseline",
+                                           "Synth70-g3 dcsa"};
+
+bool in_spill(const SynthesisJob& job) {
+  for (const std::string_view key : kSpillKeys) {
+    if (job_key(job) == key) return true;
+  }
+  return false;
+}
+
+TEST(IdentityLedger, CommittedSpillLoadsHitsAndReproduces) {
+  ResultCache cache;
+  EXPECT_EQ(cache.load_json(MSYNTH_SPILL_FILE), std::size(kSpillKeys))
+      << "cannot load every entry of " << MSYNTH_SPILL_FILE;
+  // Saved before any lookup refreshes recency, the cache writes the
+  // entries in the spill's order.
+  const std::string resaved = ::testing::TempDir() + "identity_spill.json";
+  ASSERT_TRUE(cache.save_json(resaved));
+  EXPECT_TRUE(read_file(resaved) == read_file(MSYNTH_SPILL_FILE))
+      << "saving the loaded spill does not reproduce "
+      << MSYNTH_SPILL_FILE;
+
+  std::ifstream committed(MSYNTH_LEDGER_FILE);
+  const auto want = read_ledger(committed);
+  const std::vector<SynthesisJob> jobs = ledger_jobs();
+  for (const SynthesisJob& job : jobs) {
+    if (!in_spill(job)) continue;
+    const std::optional<SynthesisResult> hit =
+        cache.lookup(fingerprint_inputs(job.graph, job.allocation, job.wash,
+                                        job.options, job.flow));
+    if (!hit) {
+      ADD_FAILURE() << job_key(job) << " misses under its fingerprint";
+      continue;
+    }
+    EXPECT_GT(hit->cpu_seconds, 0.0) << job_key(job);
+    const auto line = want.find(job_key(job));
+    if (line == want.end()) {
+      ADD_FAILURE() << job_key(job) << " has no ledger line";
+      continue;
+    }
+    EXPECT_EQ(result_digest(*hit), line_column(line->second, 3))
+        << job_key(job);
+  }
+  if (!HasFailure()) return;
+
+  // A fresh spill of the same inputs, for a change that moves the format
+  // or the results on purpose.
+  const std::vector<JobOutcome> outcomes = run_ledger_jobs(jobs);
+  ResultCache fresh;
+  // Most recent first in the spill: insert in reverse for ledger order.
+  for (std::size_t i = jobs.size(); i-- > 0;) {
+    if (in_spill(jobs[i])) {
+      fresh.insert(outcomes[i].fingerprint, outcomes[i].result);
+    }
+  }
+  ASSERT_TRUE(fresh.save_json(MSYNTH_SPILL_ACTUAL));
+  ADD_FAILURE() << "A fresh spill is in " << MSYNTH_SPILL_ACTUAL
+                << ". If the change is intended, say why in CHANGES.md "
+                   "and run:\n  cp "
+                << MSYNTH_SPILL_ACTUAL << " " << MSYNTH_SPILL_FILE;
 }
 
 }  // namespace

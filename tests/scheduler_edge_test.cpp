@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bench_suite/synthetic.hpp"
 #include "graph/graph_builder.hpp"
 #include "oracle/reference_scheduler.hpp"
@@ -11,6 +13,11 @@
 
 namespace fbmb {
 namespace {
+
+/// `prefix` followed by `i`, e.g. "n3".
+std::string numbered(const char* prefix, int i) {
+  return std::string(prefix).append(std::to_string(i));
+}
 
 void expect_valid(const GraphBuilder& b, const AllocationSpec& spec,
                   const Schedule& s) {
@@ -28,7 +35,7 @@ Schedule schedule_checked(const GraphBuilder& b, const AllocationSpec& spec,
       schedule_bioassay(b.graph(), alloc, b.wash_model(), opts);
   const Schedule ref =
       schedule_bioassay_reference(b.graph(), alloc, b.wash_model(), opts);
-  EXPECT_TRUE(identical_schedules(core, ref))
+  EXPECT_TRUE(core == ref)
       << "core diverged from reference:\n"
       << core.to_string(b.graph()) << ref.to_string(b.graph());
   return core;
@@ -86,8 +93,8 @@ TEST(SchedulerEdge, DeepChainAlternatingTypes) {
   OperationId prev = b.mix("n0", 1, 0.2);
   for (int i = 1; i < 20; ++i) {
     const OperationId next =
-        i % 2 == 0 ? b.mix("n" + std::to_string(i), 1, 0.2)
-                   : b.heat("n" + std::to_string(i), 1, 0.2);
+        i % 2 == 0 ? b.mix(numbered("n", i), 1, 0.2)
+                   : b.heat(numbered("n", i), 1, 0.2);
     b.dep(prev, next);
     prev = next;
   }
@@ -102,7 +109,7 @@ TEST(SchedulerEdge, DeepChainAlternatingTypes) {
 TEST(SchedulerEdge, ManyIndependentOpsOnOneComponent) {
   GraphBuilder b;
   for (int i = 0; i < 12; ++i) {
-    b.mix("m" + std::to_string(i), 2, 0.5);
+    b.mix(numbered("m", i), 2, 0.5);
   }
   const auto s =
       schedule_bioassay(b.graph(), Allocation({1, 0, 0, 0}), b.wash_model());
@@ -115,7 +122,7 @@ TEST(SchedulerEdge, ManyIndependentOpsOnOneComponent) {
 TEST(SchedulerEdge, EqualPrioritiesDeterministicOrder) {
   // 4 identical independent ops on 2 mixers: ties broken by id, twice.
   GraphBuilder b;
-  for (int i = 0; i < 4; ++i) b.mix("m" + std::to_string(i), 3, 0.2);
+  for (int i = 0; i < 4; ++i) b.mix(numbered("m", i), 3, 0.2);
   const Allocation alloc(AllocationSpec{2, 0, 0, 0});
   const auto s1 = schedule_bioassay(b.graph(), alloc, b.wash_model());
   const auto s2 = schedule_bioassay(b.graph(), alloc, b.wash_model());
@@ -132,7 +139,7 @@ TEST(SchedulerEdge, SingleSourceMassiveFanOut) {
   GraphBuilder b;
   const auto root = b.mix("root", 2, 4.0);
   for (int i = 0; i < 10; ++i) {
-    const auto leaf = b.detect("d" + std::to_string(i), 1, 0.2);
+    const auto leaf = b.detect(numbered("d", i), 1, 0.2);
     b.dep(root, leaf);
   }
   const auto s =
@@ -174,7 +181,7 @@ TEST(SchedulerEdge, SerialChainRunsFullyInPlaceUnderDcsa) {
   GraphBuilder b;
   OperationId prev = b.mix("c0", 2, 1.0);
   for (int i = 1; i < 6; ++i) {
-    const auto next = b.mix("c" + std::to_string(i), 2, 1.0);
+    const auto next = b.mix(numbered("c", i), 2, 1.0);
     b.dep(prev, next);
     prev = next;
   }
@@ -236,8 +243,8 @@ TEST(SchedulerEdge, OnlyQualifiedComponentBusyPastAllPeers) {
   (void)slow;
   std::vector<OperationId> detects;
   for (int i = 0; i < 3; ++i) {
-    const auto m = b.mix("m" + std::to_string(i), 2, 0.2);
-    const auto d = b.detect("d" + std::to_string(i), 1, 0.2);
+    const auto m = b.mix(numbered("m", i), 2, 0.2);
+    const auto d = b.detect(numbered("d", i), 1, 0.2);
     b.dep(m, d);
     detects.push_back(d);
   }

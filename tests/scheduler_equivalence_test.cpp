@@ -50,7 +50,7 @@ void run_benchmark(const Benchmark& bench, BindingPolicy policy) {
   const Schedule ref =
       schedule_bioassay_reference(bench.graph, alloc, bench.wash, opts);
 
-  EXPECT_TRUE(identical_schedules(core, ref))
+  EXPECT_TRUE(core == ref)
       << bench.name << ": core diverged from reference\ncore:\n"
       << core.to_string(bench.graph) << "reference:\n"
       << ref.to_string(bench.graph);
@@ -76,7 +76,7 @@ void run_benchmark(const Benchmark& bench, BindingPolicy policy) {
       replay_schedule(bench.graph, alloc, bench.wash, opts, decisions);
   const Schedule replayed_ref = replay_schedule_reference(
       bench.graph, alloc, bench.wash, opts, decisions);
-  EXPECT_TRUE(identical_schedules(replayed, replayed_ref))
+  EXPECT_TRUE(replayed == replayed_ref)
       << bench.name << ": replay diverged from reference replay";
 }
 
