@@ -3,40 +3,62 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "runtime/result_io.hpp"
 
 namespace fbmb {
 
+const std::string& CachedResult::json() const {
+  std::call_once(json_once_, [this] {
+    json_ = synthesis_result_to_json(result);
+    // The writer grows its string by doubling; keep only the bytes, so an
+    // entry holds at most one result's JSON.
+    json_.shrink_to_fit();
+  });
+  return json_;
+}
+
 ResultCache::ResultCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-std::optional<SynthesisResult> ResultCache::lookup(const Fingerprint& key) {
+std::shared_ptr<const CachedResult> ResultCache::find(const Fingerprint& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   entries_.splice(entries_.begin(), entries_, it->second);
   return it->second->second;
 }
 
-void ResultCache::insert(const Fingerprint& key, SynthesisResult result) {
+std::optional<SynthesisResult> ResultCache::lookup(const Fingerprint& key) {
+  const std::shared_ptr<const CachedResult> entry = find(key);
+  if (!entry) return std::nullopt;
+  return entry->result;
+}
+
+std::shared_ptr<const CachedResult> ResultCache::insert(
+    const Fingerprint& key, SynthesisResult result) {
+  std::shared_ptr<const CachedResult> entry =
+      std::make_shared<CachedResult>(std::move(result));
   std::lock_guard<std::mutex> lock(mutex_);
-  insert_locked(key, std::move(result), /*keep_existing=*/false);
+  insert_locked(key, entry, /*keep_existing=*/false);
+  return entry;
 }
 
 void ResultCache::insert_locked(const Fingerprint& key,
-                                SynthesisResult result, bool keep_existing) {
+                                std::shared_ptr<const CachedResult> value,
+                                bool keep_existing) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
     entries_.splice(entries_.begin(), entries_, it->second);
-    if (!keep_existing) it->second->second = std::move(result);
+    if (!keep_existing) it->second->second = std::move(value);
     return;
   }
-  entries_.emplace_front(key, std::move(result));
+  entries_.emplace_front(key, std::move(value));
   index_[key] = entries_.begin();
   while (entries_.size() > capacity_) {
     index_.erase(entries_.back().first);
@@ -72,23 +94,25 @@ void ResultCache::clear() {
 }
 
 bool ResultCache::save_json(const std::string& path) const {
-  std::ostringstream os;
+  // Copy the entry pointers under the lock and write outside it, so a
+  // spill never blocks hits; each result is its entry's stored bytes.
+  std::vector<Entry> snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    os << "{\"format\": \"msynth-result-cache\", \"version\": 1, "
-          "\"entries\": [";
-    bool first = true;
-    for (const Entry& entry : entries_) {
-      os << (first ? "" : ",") << "\n{\"fingerprint\": \""
-         << entry.first.to_hex() << "\", \"result\": "
-         << synthesis_result_to_json(entry.second) << "}";
-      first = false;
-    }
-    os << "\n]}\n";
+    snapshot.assign(entries_.begin(), entries_.end());
   }
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << os.str();
+  out << "{\"format\": \"msynth-result-cache\", \"version\": 1, "
+         "\"entries\": [";
+  bool first = true;
+  for (const Entry& entry : snapshot) {
+    out << (first ? "" : ",") << "\n{\"fingerprint\": \"";
+    out << entry.first.to_hex() << "\", \"result\": ";
+    out << entry.second->json() << '}';
+    first = false;
+  }
+  out << "\n]}\n";
   return static_cast<bool>(out);
 }
 
@@ -123,8 +147,10 @@ std::size_t ResultCache::load_json(const std::string& path) {
     std::optional<SynthesisResult> parsed =
         synthesis_result_from_value(*result);
     if (!parsed) continue;
+    std::shared_ptr<const CachedResult> value =
+        std::make_shared<CachedResult>(std::move(*parsed));
     std::lock_guard<std::mutex> lock(mutex_);
-    insert_locked(key, std::move(*parsed), /*keep_existing=*/true);
+    insert_locked(key, std::move(value), /*keep_existing=*/true);
     ++loaded;
   }
   return loaded;

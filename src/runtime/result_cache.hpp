@@ -1,9 +1,11 @@
 // Content-addressed, LRU-bounded synthesis result cache.
 //
 // Keys are 128-bit input fingerprints (runtime/fingerprint.hpp); values are
-// complete SynthesisResults. lookup() refreshes recency; insert() evicts the
-// least-recently-used entry once `capacity` is exceeded. All operations are
-// thread-safe — the synthesis engine's job workers hit one shared cache.
+// shared, immutable CachedResult entries: a complete SynthesisResult plus
+// its lossless JSON, written once on first use. find() refreshes recency;
+// insert() evicts the least-recently-used entry once `capacity` is
+// exceeded. All operations are thread-safe — the synthesis engine's job
+// workers hit one shared cache.
 //
 // save_json()/load_json() spill the cache to disk and reload it in a later
 // process, so repeated sweeps (bench reruns, CI) skip recomputation
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -26,18 +29,41 @@
 
 namespace fbmb {
 
+/// One cache entry, shared by the cache and every caller that holds it.
+/// The result never changes once stored; an evicted or overwritten entry
+/// stays valid for as long as someone holds it.
+class CachedResult {
+ public:
+  explicit CachedResult(SynthesisResult value) : result(std::move(value)) {}
+
+  const SynthesisResult result;
+
+  /// synthesis_result_to_json(result). Written by the first caller (a
+  /// served response or a spill), never at insert, so entries nobody
+  /// serves cost no JSON; every later call returns the same string.
+  const std::string& json() const;
+
+ private:
+  mutable std::once_flag json_once_;
+  mutable std::string json_;
+};
+
 class ResultCache {
  public:
   /// Keeps at most `capacity` results (>= 1).
   explicit ResultCache(std::size_t capacity = 128);
 
-  /// Returns a copy of the cached result and refreshes its recency, or
-  /// nullopt. Counts a hit or a miss.
+  /// Returns the entry and refreshes its recency, or null. Counts a hit
+  /// or a miss. Under the lock this copies only a pointer.
+  std::shared_ptr<const CachedResult> find(const Fingerprint& key);
+
+  /// find(key)'s result as a copy, or nullopt.
   std::optional<SynthesisResult> lookup(const Fingerprint& key);
 
   /// Inserts (or overwrites) the entry and marks it most recently used,
-  /// evicting the LRU entry when over capacity.
-  void insert(const Fingerprint& key, SynthesisResult result);
+  /// evicting the LRU entry when over capacity. Returns the stored entry.
+  std::shared_ptr<const CachedResult> insert(const Fingerprint& key,
+                                             SynthesisResult result);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -47,8 +73,9 @@ class ResultCache {
 
   void clear();
 
-  /// Writes all entries (most recent first) as one JSON document. Returns
-  /// false on I/O failure.
+  /// Writes all entries (most recent first) as one JSON document, each
+  /// result as its entry's stored bytes. Only the entry list is copied
+  /// under the lock. Returns false on I/O failure.
   bool save_json(const std::string& path) const;
 
   /// Merges entries from a spill file into the cache (existing keys keep
@@ -57,9 +84,10 @@ class ResultCache {
   std::size_t load_json(const std::string& path);
 
  private:
-  using Entry = std::pair<Fingerprint, SynthesisResult>;
+  using Entry = std::pair<Fingerprint, std::shared_ptr<const CachedResult>>;
 
-  void insert_locked(const Fingerprint& key, SynthesisResult result,
+  void insert_locked(const Fingerprint& key,
+                     std::shared_ptr<const CachedResult> value,
                      bool keep_existing);
 
   mutable std::mutex mutex_;

@@ -157,16 +157,19 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int digit = hex_digit(text_[pos_ + i]);
-            if (digit < 0) return std::nullopt;  // strict: 4 hex digits
-            code = code * 16 + static_cast<unsigned>(digit);
+          std::optional<unsigned> code = hex4();
+          if (!code) return std::nullopt;
+          if (*code >= 0xD800 && *code <= 0xDBFF) {
+            // A high surrogate must pair with an escaped low surrogate.
+            if (text_.compare(pos_, 2, "\\u") != 0) return std::nullopt;
+            pos_ += 2;
+            const std::optional<unsigned> low = hex4();
+            if (!low || *low < 0xDC00 || *low > 0xDFFF) return std::nullopt;
+            code = 0x10000 + ((*code - 0xD800) << 10) + (*low - 0xDC00);
+          } else if (*code >= 0xDC00 && *code <= 0xDFFF) {
+            return std::nullopt;  // a low surrogate with no high one
           }
-          pos_ += 4;
-          // Our writers only escape control characters; emit as a byte.
-          out += static_cast<char>(code & 0xFF);
+          append_utf8(out, *code);
           break;
         }
         default: return std::nullopt;
@@ -189,6 +192,43 @@ class Parser {
     if (c >= 'a' && c <= 'f') return c - 'a' + 10;
     if (c >= 'A' && c <= 'F') return c - 'A' + 10;
     return -1;
+  }
+
+  /// The four hex digits of a \u escape (strict: exactly four).
+  std::optional<unsigned> hex4() {
+    if (pos_ + 4 > text_.size()) return std::nullopt;
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const int digit = hex_digit(text_[pos_ + i]);
+      if (digit < 0) return std::nullopt;
+      code = code * 16 + static_cast<unsigned>(digit);
+    }
+    pos_ += 4;
+    return code;
+  }
+
+  /// Appends code point `code` (at most 0x10FFFF, not a surrogate) as
+  /// UTF-8. Below 0x80 that is the byte itself, which is how the writers'
+  /// \u00XX escapes of control characters read back.
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+      return;
+    }
+    char bytes[4];
+    int n = 0;
+    if (code < 0x800) {
+      bytes[n++] = static_cast<char>(0xC0 | (code >> 6));
+    } else if (code < 0x10000) {
+      bytes[n++] = static_cast<char>(0xE0 | (code >> 12));
+      bytes[n++] = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    } else {
+      bytes[n++] = static_cast<char>(0xF0 | (code >> 18));
+      bytes[n++] = static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      bytes[n++] = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    }
+    bytes[n++] = static_cast<char>(0x80 | (code & 0x3F));
+    out.append(bytes, static_cast<std::size_t>(n));
   }
 
   std::optional<Value> number() {

@@ -14,8 +14,10 @@
 // envelope and the service layer can parse request bodies with the same
 // machinery. Because those bytes are untrusted, the parser is hardened to
 // fail cleanly (nullopt, never a crash or deep throw): nesting is capped
-// (96 levels), \u escapes require exactly four hex digits, and numbers
-// must be JSON-shaped (no inf/nan/hex-float spellings).
+// (96 levels), \u escapes require exactly four hex digits and decode to
+// UTF-8 (a surrogate pair to one code point; a lone or reversed surrogate
+// fails), and numbers must be JSON-shaped (no inf/nan/hex-float
+// spellings).
 
 #pragma once
 

@@ -87,11 +87,12 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
   outcome.trace_id = trace_id;
   outcome.fingerprint = fingerprint_inputs(job.graph, job.allocation,
                                            job.wash, job.options, job.flow);
-  if (std::optional<SynthesisResult> cached =
-          cache_.lookup(outcome.fingerprint)) {
+  if (std::shared_ptr<const CachedResult> entry =
+          cache_.find(outcome.fingerprint)) {
     telemetry_.record_cache_hit();
     TRACE_INSTANT("engine", "cache_hit");
-    outcome.result = std::move(*cached);
+    outcome.result = entry->result;
+    outcome.entry = std::move(entry);
     outcome.cache_hit = true;
     outcome.wall_seconds = seconds_since(t0);
     telemetry_.job_finished();
@@ -156,7 +157,7 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
     throw;
   }
 
-  cache_.insert(outcome.fingerprint, outcome.result);
+  outcome.entry = cache_.insert(outcome.fingerprint, outcome.result);
   outcome.wall_seconds = seconds_since(t0);
   telemetry_.record_result(outcome.result, outcome.wall_seconds);
   telemetry_.job_finished();

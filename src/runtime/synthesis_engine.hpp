@@ -55,6 +55,9 @@ struct JobOutcome {
   /// Trace id the job's events were stamped with (0 when tracing was off
   /// and the job carried none). See src/trace.
   std::uint64_t trace_id = 0;
+  /// The cache entry holding `result`: the one a hit found, or the one a
+  /// miss stored. A served response appends its stored JSON.
+  std::shared_ptr<const CachedResult> entry;
 };
 
 struct SynthesisEngineOptions {

@@ -193,8 +193,16 @@ std::string error_body(const std::string& message,
 
 std::string synthesize_body(const JobOutcome& outcome,
                             const std::string& inline_trace_json) {
+  // The members other than name, trace and result fit in this many bytes.
+  constexpr std::size_t kFixedBytes = 256;
+  const std::string name = json_quote(outcome.name);
+  const std::string* stored = outcome.entry ? &outcome.entry->json() : nullptr;
+  std::string body;
+  body.reserve(kFixedBytes + name.size() + inline_trace_json.size() +
+               (stored ? stored->size() : 0));
   char number[32];
-  std::string body = "{\"name\": " + json_quote(outcome.name);
+  body += "{\"name\": ";
+  body += name;
   body += ", \"fingerprint\": \"";
   body += outcome.fingerprint.to_hex();
   body += "\", \"cache_hit\": ";
@@ -219,7 +227,11 @@ std::string synthesize_body(const JobOutcome& outcome,
     body += inline_trace_json;
   }
   body += ", \"result\": ";
-  append_synthesis_result_json(body, outcome.result);
+  if (stored) {
+    body += *stored;
+  } else {
+    append_synthesis_result_json(body, outcome.result);
+  }
   body += '}';
   return body;
 }

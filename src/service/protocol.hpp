@@ -9,9 +9,10 @@
 // hardened jsonio parser — the body is untrusted bytes — and returns a
 // human-readable error instead of throwing.
 //
-// Responses reuse the runtime's lossless result writer, so a served
-// result is byte-identical to synthesis_result_to_json() of the same
-// library call at the same seed.
+// Responses carry the runtime's lossless result JSON, so a served result
+// is byte-identical to synthesis_result_to_json() of the same library
+// call at the same seed. An engine outcome's cache entry stores those
+// bytes once, and every response that entry answers appends them.
 
 #pragma once
 
@@ -41,9 +42,10 @@ std::string error_body(const std::string& message,
                        const std::string& stage = {});
 
 /// The 200 body: name, fingerprint, cache_hit, wall_seconds, and the full
-/// lossless result object. When the outcome carries a trace id, a
-/// "trace_id" field is added; a non-empty `inline_trace_json` (a complete
-/// Chrome-trace document) is embedded verbatim under "trace".
+/// lossless result object: the entry's stored JSON, or `outcome.result`
+/// written out when the outcome has no entry. When the outcome carries a
+/// trace id, a "trace_id" field is added; a non-empty `inline_trace_json`
+/// (a complete Chrome-trace document) is embedded verbatim under "trace".
 std::string synthesize_body(const JobOutcome& outcome,
                             const std::string& inline_trace_json = {});
 

@@ -67,14 +67,40 @@ TEST(JsonioNegative, RejectsMalformedNumbers) {
 
 TEST(JsonioNegative, RejectsBadUnicodeEscapes) {
   for (const char* text : {
-           R"("\u12")",     // too short
-           R"("\u12zz")",   // non-hex
-           R"("\u")",       // nothing
-           R"("\x41")",     // unsupported escape
+           R"("\u12")",           // too short
+           R"("\u12zz")",         // non-hex
+           R"("\u")",             // nothing
+           R"("\x41")",           // unsupported escape
+           // A surrogate escape has a UTF-8 form only as half of a
+           // high-then-low pair.
+           R"("\ud800")",         // lone high surrogate
+           R"("\udc00")",         // lone low surrogate
+           R"("\ude00\ud83d")",   // reversed pair
+           R"("\ud83d\u0041")",   // high surrogate, then no low one
+           R"("\ud83dx")",        // high surrogate, then a plain byte
+           R"("\ud83d\n")",       // high surrogate, then another escape
+           R"("\ud83d\ud83d")",   // two high surrogates
        }) {
     EXPECT_FALSE(jsonio::parse(text).has_value()) << "input: " << text;
   }
   EXPECT_TRUE(jsonio::parse(R"("Aok")").has_value());
+}
+
+TEST(JsonioNegative, UnicodeEscapesDecodeToUtf8) {
+  const auto decoded = [](const char* text) -> std::optional<std::string> {
+    const std::optional<jsonio::Value> v = jsonio::parse(text);
+    if (!v) return std::nullopt;
+    return v->str;
+  };
+  EXPECT_EQ(decoded(R"("\u0141")"), "\xC5\x81");
+  EXPECT_EQ(decoded(R"("\u4e2d")"), "\xE4\xB8\xAD");
+  EXPECT_EQ(decoded(R"("\ud83d\ude00")"), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(decoded(R"("\uFFFF")"), "\xEF\xBF\xBF");
+  EXPECT_EQ(decoded(R"("\udbff\udfff")"), "\xF4\x8F\xBF\xBF");
+  // The writers escape control characters as \u00XX; those read back as
+  // the byte itself, NUL included.
+  EXPECT_EQ(decoded(R"("a\u001fb\u0000")"), std::string("a\x1f" "b\0", 4));
+  EXPECT_EQ(decoded(R"("\u007f\u0080")"), "\x7F\xC2\x80");
 }
 
 TEST(JsonioNegative, DeepNestingFailsCleanlyInsteadOfOverflowing) {

@@ -113,6 +113,21 @@ TEST(SynthesisEngine, SecondPassHitsTheCache) {
   EXPECT_GT(snapshot.stage_seconds.total(), 0.0);
 }
 
+TEST(SynthesisEngine, MissAndHitCarryTheSameEntry) {
+  // A hit shares the entry the miss stored: one result, one set of JSON
+  // bytes, however many times the job is answered.
+  const SynthesisJob job = small_jobs().front();
+  SynthesisEngine engine;
+  const JobOutcome miss = engine.run_job(job);
+  const JobOutcome hit = engine.run_job(job);
+  ASSERT_FALSE(miss.cache_hit);
+  ASSERT_TRUE(hit.cache_hit);
+  ASSERT_NE(miss.entry, nullptr);
+  EXPECT_EQ(hit.entry, miss.entry);
+  EXPECT_EQ(miss.entry->result, miss.result);
+  EXPECT_EQ(hit.result, miss.result);
+}
+
 TEST(SynthesisEngine, DifferentOptionsMissTheCache) {
   auto jobs = small_jobs();
   SynthesisEngine engine;

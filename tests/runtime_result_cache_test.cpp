@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
@@ -26,6 +32,19 @@ SynthesisResult tiny_result(double completion) {
 
 Fingerprint key_of(std::uint64_t lo, std::uint64_t hi) {
   return Fingerprint{lo, hi};
+}
+
+/// A synthesized result with a schedule, a placement and a routing.
+SynthesisResult pcr_result() {
+  const auto bench = make_pcr();
+  return synthesize_dcsa(bench.graph, Allocation(bench.allocation), bench.wash);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 TEST(Fingerprint, EqualInputsHashEqual) {
@@ -148,6 +167,143 @@ TEST(ResultCache, OverwriteSameKeyKeepsSizeStable) {
   cache.insert(key_of(1, 0), tiny_result(9.0));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_DOUBLE_EQ(cache.lookup(key_of(1, 0))->completion_time, 9.0);
+}
+
+TEST(CachedResult, FindReturnsTheSameEntryOnEveryHit) {
+  ResultCache cache(4);
+  EXPECT_EQ(cache.find(key_of(1, 0)), nullptr);
+  const std::shared_ptr<const CachedResult> stored =
+      cache.insert(key_of(1, 0), tiny_result(1.0));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(cache.find(key_of(1, 0)), stored);
+  EXPECT_EQ(cache.find(key_of(1, 0)), stored);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(CachedResult, JsonIsWrittenOnceAsTheWriterWritesIt) {
+  ResultCache cache(4);
+  const auto entry = cache.insert(key_of(1, 0), pcr_result());
+  const std::string& first = entry->json();
+  EXPECT_EQ(&entry->json(), &first);
+  EXPECT_EQ(&cache.find(key_of(1, 0))->json(), &first);
+  EXPECT_EQ(first, synthesis_result_to_json(entry->result));
+}
+
+TEST(CachedResult, EvictedOrOverwrittenEntryKeepsItsBytes) {
+  ResultCache cache(1);
+  // Evicted before anything asked for its bytes: they are written later,
+  // from the result it still holds.
+  const auto evicted = cache.insert(key_of(1, 0), tiny_result(1.0));
+  cache.insert(key_of(2, 0), tiny_result(2.0));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.find(key_of(1, 0)), nullptr);
+  EXPECT_EQ(evicted->result.completion_time, 1.0);
+  EXPECT_EQ(evicted->json(), synthesis_result_to_json(tiny_result(1.0)));
+
+  // Overwritten after its bytes were written: the holder reads the old
+  // bytes, the cache serves the new entry.
+  const auto old_entry = cache.find(key_of(2, 0));
+  ASSERT_NE(old_entry, nullptr);
+  const std::string& old_json = old_entry->json();
+  const std::string old_copy = old_json;
+  const auto new_entry = cache.insert(key_of(2, 0), tiny_result(3.0));
+  EXPECT_NE(new_entry, old_entry);
+  EXPECT_EQ(cache.find(key_of(2, 0)), new_entry);
+  EXPECT_EQ(old_entry->result.completion_time, 2.0);
+  EXPECT_EQ(&old_entry->json(), &old_json);
+  EXPECT_EQ(old_entry->json(), old_copy);
+  EXPECT_EQ(new_entry->json(), synthesis_result_to_json(tiny_result(3.0)));
+}
+
+TEST(CachedResult, RacingFirstReadsSeeIdenticalBytes) {
+  ResultCache cache(4);
+  cache.insert(key_of(1, 0), pcr_result());
+  constexpr int kThreads = 8;
+  std::vector<const std::string*> seen(kThreads, nullptr);
+  std::vector<std::string> copies(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const std::shared_ptr<const CachedResult> hit = cache.find(key_of(1, 0));
+      seen[t] = &hit->json();
+      copies[t] = *seen[t];
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string want =
+      synthesis_result_to_json(cache.find(key_of(1, 0))->result);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    EXPECT_EQ(copies[t], want) << "thread " << t;
+  }
+}
+
+TEST(CachedResult, LookupCopiesTheFoundResult) {
+  ResultCache cache(4);
+  cache.insert(key_of(1, 0), pcr_result());
+  const std::optional<SynthesisResult> copy = cache.lookup(key_of(1, 0));
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(*copy, cache.find(key_of(1, 0))->result);
+  EXPECT_FALSE(cache.lookup(key_of(2, 0)).has_value());
+}
+
+TEST(CachedResult, ServingEntriesDoesNotChangeTheSpill) {
+  // Two caches with the same entries: one spills before anything is
+  // served, the other after serving every entry (in insertion order, so
+  // recency, and with it the spill's order, is unchanged).
+  const SynthesisResult pcr = pcr_result();
+  ResultCache unserved(4);
+  ResultCache served(4);
+  for (ResultCache* cache : {&unserved, &served}) {
+    cache->insert(key_of(1, 0), pcr);
+    cache->insert(key_of(2, 0), tiny_result(2.0));
+  }
+  std::vector<std::string> served_json;
+  for (const Fingerprint& key : {key_of(1, 0), key_of(2, 0)}) {
+    served_json.push_back(served.find(key)->json());
+  }
+  const std::string dir = ::testing::TempDir();
+  ASSERT_TRUE(unserved.save_json(dir + "msynth_spill_unserved.json"));
+  ASSERT_TRUE(served.save_json(dir + "msynth_spill_served.json"));
+  const std::string before = read_file(dir + "msynth_spill_unserved.json");
+  for (const std::string& json : served_json) {
+    EXPECT_NE(before.find("\"result\": " + json + "}"), std::string::npos);
+  }
+  EXPECT_EQ(read_file(dir + "msynth_spill_served.json"), before);
+
+  // The unserved cache's own entries, served after its spill, spill again
+  // to the same bytes.
+  for (const Fingerprint& key : {key_of(1, 0), key_of(2, 0)}) {
+    EXPECT_FALSE(unserved.find(key)->json().empty());
+  }
+  ASSERT_TRUE(unserved.save_json(dir + "msynth_spill_unserved.json"));
+  EXPECT_EQ(read_file(dir + "msynth_spill_unserved.json"), before);
+  std::remove((dir + "msynth_spill_unserved.json").c_str());
+  std::remove((dir + "msynth_spill_served.json").c_str());
+}
+
+TEST(CachedResult, SpillRunsAlongsideHitsAndInserts) {
+  // save_json writes outside the lock while other threads find, serve and
+  // overwrite entries; every spill must still load whole.
+  ResultCache cache(2);
+  cache.insert(key_of(1, 0), tiny_result(1.0));
+  const std::string path = ::testing::TempDir() + "msynth_spill_race.json";
+  std::thread writer([&] {
+    for (int i = 0; i < 20; ++i) {
+      cache.insert(key_of(2 + i % 3, 0), tiny_result(i));
+      if (const auto hit = cache.find(key_of(1, 0))) hit->json();
+    }
+  });
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(cache.save_json(path));
+  writer.join();
+  ASSERT_TRUE(cache.save_json(path));
+  ResultCache reloaded(2);
+  EXPECT_EQ(reloaded.load_json(path), cache.size());
+  std::remove(path.c_str());
 }
 
 TEST(ResultCache, SpillRoundTripsFullResultLosslessly) {

@@ -75,6 +75,32 @@ std::string strip_timing(std::string json) {
   return json;
 }
 
+/// A 200 body with the two members that describe the run, not the result
+/// (cache_hit and wall_seconds), replaced by "_".
+std::string mask_run_fields(const std::string& body) {
+  std::string masked;
+  std::size_t from = 0;
+  for (const std::string key : {"\"cache_hit\": ", "\"wall_seconds\": "}) {
+    const std::size_t at = body.find(key, from);
+    const std::size_t end = body.find(',', at);
+    if (at == std::string::npos || end == std::string::npos) continue;
+    masked.append(body, from, at + key.size() - from).append("_");
+    from = end;
+  }
+  return masked.append(body, from);
+}
+
+SynthesisJob pcr_job(std::uint64_t seed) {
+  Benchmark pcr = make_pcr();
+  SynthesisJob job;
+  job.name = pcr.name;
+  job.graph = pcr.graph;
+  job.allocation = Allocation(pcr.allocation);
+  job.wash = pcr.wash;
+  job.options.placer.seed = seed;
+  return job;
+}
+
 ServerOptions test_options() {
   ServerOptions options;
   options.engine.threads = 2;
@@ -120,20 +146,52 @@ TEST(SynthServer, ServedResultIsBitIdenticalToDirectCall) {
   ASSERT_EQ(second->status, 200);
   EXPECT_NE(second->body.find("\"cache_hit\": true"), std::string::npos);
 
+  // The hit answers with the bytes the miss wrote: the two bodies differ
+  // only in the members that describe the run.
+  EXPECT_EQ(mask_run_fields(second->body), mask_run_fields(first->body));
+
   // Reference: the library, same job, same seed (timing fields excluded —
   // they measure the run, not the result).
-  Benchmark pcr = make_pcr();
-  SynthesisJob job;
-  job.name = pcr.name;
-  job.graph = pcr.graph;
-  job.allocation = Allocation(pcr.allocation);
-  job.wash = pcr.wash;
-  job.options.placer.seed = 7;
+  const SynthesisJob job = pcr_job(7);
   SynthesisEngine engine;
   const std::string direct =
       strip_timing(synthesis_result_to_json(engine.run_job(job).result));
   EXPECT_NE(strip_timing(first->body).find(direct), std::string::npos);
   EXPECT_NE(strip_timing(second->body).find(direct), std::string::npos);
+}
+
+TEST(SynthesizeBody, StoredBytesMatchTheWriter) {
+  // An outcome without a cache entry (as a caller may build by hand) is
+  // written out from its result; the engine's outcome appends the entry's
+  // stored bytes. Both bodies must be the same, on the miss and the hit.
+  SynthesisEngine engine;
+  const SynthesisJob job = pcr_job(7);
+  for (int pass = 0; pass < 2; ++pass) {
+    const JobOutcome outcome = engine.run_job(job);
+    ASSERT_NE(outcome.entry, nullptr);
+    EXPECT_EQ(outcome.cache_hit, pass == 1);
+    JobOutcome hand_built = outcome;
+    hand_built.entry = nullptr;
+    EXPECT_EQ(synthesize_body(hand_built), synthesize_body(outcome));
+    EXPECT_EQ(synthesize_body(hand_built, "{\"traceEvents\": []}"),
+              synthesize_body(outcome, "{\"traceEvents\": []}"));
+  }
+}
+
+TEST(SynthServer, UnicodeNameComesBackAsUtf8) {
+  SynthServer server(test_options());
+  server.start();
+  const std::string body =
+      R"({"benchmark": "PCR", "name": "\u0141\u00f3d\u017a"})";
+  const auto response = roundtrip(server.port(), "POST", "/synthesize", body);
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, 200) << response->body;
+  const std::string lodz = "\xC5\x81\xC3\xB3" "d\xC5\xBA";  // "Łódź"
+  EXPECT_TRUE(response->body.starts_with("{\"name\": \"" + lodz + "\", "))
+      << response->body.substr(0, 40);
+  const auto root = jsonio::parse(response->body);
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->find("name")->str, lodz);
 }
 
 TEST(SynthServer, RejectsBadRequestBodies) {
@@ -155,6 +213,8 @@ TEST(SynthServer, RejectsBadRequestBodies) {
            R"({"benchmark": "PCR", "seed": 1e300})",
            R"({"benchmark": "PCR", "seed": 18446744073709551616})",
            R"({"benchmark": "PCR", "timeout_ms": 1e300})",
+           // A lone surrogate escape has no UTF-8 form.
+           R"({"benchmark": "PCR", "name": "\ud800"})",
        }) {
     const auto response =
         roundtrip(server.port(), "POST", "/synthesize", body);
