@@ -1,5 +1,5 @@
 // Tracing-overhead benchmark: what a TRACE_SPAN site costs, disabled and
-// enabled, on the flow_perf route–retime configurations.
+// enabled, on every paper benchmark's route–retime fixpoint.
 //
 // Two measurements, combined into BENCH_trace.json for the CI gate
 // (scripts/check_bench.py --trace):
@@ -10,8 +10,8 @@
 //     without the site.
 //  2. Macro: every paper benchmark × {dcsa, baseline} route–retime
 //     fixpoint timed end to end with tracing disabled and enabled,
-//     interleaved best-of-kReps. The disabled timing is the same quantity
-//     flow_perf's "flat_seconds" measures; the gate bounds
+//     interleaved best-of-kReps (DCSA on a one-restart SA placement, BA
+//     on its constructive placement). The gate bounds
 //       - the *projected* disabled overhead per config
 //         (ns_per_site_disabled × events the config emits / runtime),
 //         which stays meaningful even when the real overhead is far below
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   recorder.set_enabled(false);
   recorder.clear();
 
-  // --- Macro: flow_perf configs, tracing off vs on --------------------
+  // --- Macro: route–retime fixpoints, tracing off vs on --------------
   TextTable table({"Scenario", "Off (ms)", "On (ms)", "Events",
                    "Enabled ovh", "Proj. disabled ovh"},
                   {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,

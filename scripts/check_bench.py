@@ -1,30 +1,7 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate for the core-vs-reference perf JSONs.
+"""Benchmark regression gates for the service, tracing and fuzzing reports.
 
-Parses the BENCH_*.json files written by route_perf / place_perf /
-sched_perf (--json-out) and fails when:
-
-  * any benchmark entry is missing the "identical" key or reports
-    identical != true (the core diverged from its reference oracle), or
-  * any benchmark's core-vs-reference speedup drops below --min-speedup
-    (default 1.0: the core must never be slower than the reference), or
-  * a file given via --geomean FILE=X has a geometric-mean speedup below
-    X (e.g. --geomean BENCH_sched.json=1.5 enforces the scheduler core's
-    acceptance threshold).
-
-Gates the route–retime fixpoint report written by flow_perf (--json-out)
-when given via --flow FILE: every config must report identical == true
-(the incremental fixpoint is bit-identical to the from-scratch loop),
-every config's end-to-end speedup must stay above --flow-min-speedup
-(default 0.85 — a flow that converges in one round has no repeat work
-to eliminate, so its theoretical best is parity; with pooled probe
-buffers the footprint-recording overhead is a few percent, and the
-floor leaves room only for timer noise on microsecond-scale runs),
-and the geomean speedup over the multi-round flows — the configs where
-the reuse machinery actually has repeat work to remove — must meet
---flow-geomean-multi (default 1.2).
-
-Also gates the synthesis-service load report written by service_load
+Gates the synthesis-service load report written by service_load
 (--json-out) when given via --service FILE: every request must have been
 answered with an expected status, the warm payload must be bit-identical
 to the direct library result, the client-side p99 latency must stay under
@@ -33,28 +10,25 @@ the report must carry the server-side per-endpoint latency histograms
 (server_endpoints, scraped from /metrics) with derived percentiles for
 every endpoint and at least one recorded synthesize request.
 
-Also gates the tracing-overhead report written by trace_overhead
-(--json-out) when given via --trace FILE: traced and untraced runs must
-produce bit-identical results, the geomean slowdown of the flow_perf
-configs with tracing ENABLED must stay under --trace-enabled-overhead
+Gates the tracing-overhead report written by trace_overhead (--json-out)
+when given via --trace FILE: traced and untraced runs must produce
+bit-identical results, the geomean slowdown of the route–retime
+fixpoints with tracing ENABLED must stay under --trace-enabled-overhead
 (default 0.10), and the projected cost of the DISABLED trace sites
 (micro-measured ns/site x sites hit, relative to the untraced runtime)
 must stay under --trace-disabled-overhead (default 0.02) on every
 config — the always-compiled instrumentation must be free when off.
 
-Also gates the differential-fuzzing report written by fuzz_synth
-(--json-out) when given via --fuzz FILE: scenarios must actually have
-executed, and the run must report zero core-vs-reference divergences
-and ok == true.
+Gates the differential-fuzzing report written by fuzz_synth (--json-out)
+when given via --fuzz FILE: scenarios must actually have executed, and
+the run must report zero core-vs-reference divergences and ok == true.
 
 Every malformed report (unreadable file, invalid JSON, wrong shape)
 fails the gate with a readable `file: reason` line — never a traceback.
---self-test exercises exactly that contract against synthetic reports.
+--self-test exercises exactly that contract against synthetic reports,
+and has a case that fails when any one check above is removed.
 
 Usage:
-  scripts/check_bench.py BENCH_route.json BENCH_place.json \
-      BENCH_sched.json --min-speedup 1.0 --geomean BENCH_sched.json=1.5
-  scripts/check_bench.py --flow BENCH_flow.json --flow-geomean-multi 1.2
   scripts/check_bench.py --service BENCH_service.json --service-p99 2000
   scripts/check_bench.py --fuzz BENCH_fuzz.json
   scripts/check_bench.py --trace BENCH_trace.json
@@ -63,7 +37,6 @@ Usage:
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -82,117 +55,6 @@ def load_json(path):
     if not isinstance(doc, dict):
         raise ValueError("top level is not a JSON object")
     return doc
-
-
-def load_benchmarks(path):
-    doc = load_json(path)
-    benchmarks = doc.get("benchmarks")
-    if not isinstance(benchmarks, list) or not benchmarks:
-        raise ValueError("no 'benchmarks' array")
-    return doc, benchmarks
-
-
-def check_file(path, min_speedup, geomean_floor):
-    errors = []
-    _, benchmarks = load_benchmarks(path)
-    speedups = []
-    for i, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict):
-            errors.append(f"{path}: benchmarks[{i}] is not an object")
-            continue
-        name = entry.get("name", "<unnamed>")
-        if entry.get("identical") is not True:
-            errors.append(
-                f"{path}: {name}: core result is not reported identical "
-                f"to the reference (identical={entry.get('identical')!r})"
-            )
-        speedup = entry.get("speedup")
-        if not isinstance(speedup, (int, float)) or speedup <= 0:
-            errors.append(f"{path}: {name}: missing or invalid speedup")
-            continue
-        speedups.append(float(speedup))
-        if speedup < min_speedup:
-            errors.append(
-                f"{path}: {name}: speedup {speedup:.3f}x is below the "
-                f"{min_speedup:.2f}x floor"
-            )
-    geomean = None
-    if speedups:
-        geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
-        if geomean_floor is not None and geomean < geomean_floor:
-            errors.append(
-                f"{path}: geomean speedup {geomean:.3f}x is below the "
-                f"{geomean_floor:.2f}x floor"
-            )
-    return errors, speedups, geomean
-
-
-def check_flow(path, min_speedup, geomean_multi_floor):
-    errors = []
-    doc, benchmarks = load_benchmarks(path)
-
-    reused = 0
-    rerouted = 0
-    for i, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict):
-            errors.append(f"{path}: benchmarks[{i}] is not an object")
-            continue
-        name = entry.get("name", "<unnamed>")
-        if entry.get("identical") is not True:
-            errors.append(
-                f"{path}: {name}: incremental fixpoint is not reported "
-                f"identical to the from-scratch loop "
-                f"(identical={entry.get('identical')!r})"
-            )
-        speedup = entry.get("speedup")
-        if not isinstance(speedup, (int, float)) or speedup <= 0:
-            errors.append(f"{path}: {name}: missing or invalid speedup")
-        elif speedup < min_speedup:
-            errors.append(
-                f"{path}: {name}: end-to-end speedup {speedup:.3f}x is "
-                f"below the {min_speedup:.2f}x floor"
-            )
-        flow = entry.get("flow")
-        if not isinstance(flow, dict):
-            errors.append(f"{path}: {name}: missing reuse counters (flow)")
-            continue
-        for field in ("transports_reused", "transports_rerouted"):
-            count = flow.get(field, 0)
-            if not isinstance(count, int) or count < 0:
-                errors.append(
-                    f"{path}: {name}: flow.{field} is not a count "
-                    f"({count!r})"
-                )
-                count = 0
-            if field == "transports_reused":
-                reused += count
-            else:
-                rerouted += count
-
-    geomean_multi = doc.get("geomean_speedup_multi_round")
-    multi_count = doc.get("multi_round_configs")
-    if not isinstance(geomean_multi, (int, float)) or not multi_count:
-        errors.append(
-            f"{path}: missing geomean_speedup_multi_round / "
-            "multi_round_configs (no multi-round flows measured?)"
-        )
-    elif geomean_multi < geomean_multi_floor:
-        errors.append(
-            f"{path}: multi-round geomean speedup {geomean_multi:.3f}x "
-            f"is below the {geomean_multi_floor:.2f}x floor"
-        )
-
-    searches = reused + rerouted
-    reuse = reused / searches if searches else 0.0
-    print(
-        f"{path}: {len(benchmarks)} configs, "
-        f"geomean {doc.get('geomean_speedup', 0.0):.2f}x, "
-        f"multi-round geomean "
-        f"{geomean_multi if isinstance(geomean_multi, (int, float)) else 0.0:.2f}x "
-        f"over {multi_count} configs, "
-        f"{reused}/{searches} transports reused ({reuse:.0%})"
-    )
-    return errors
 
 
 def check_service(path, p99_ceiling_ms, error_rate_ceiling):
@@ -317,7 +179,10 @@ def check_trace(path, disabled_ceiling, enabled_ceiling):
     """Gates a trace_overhead --json-out report: tracing must never change
     results, must cost little when on, and ~nothing when off."""
     errors = []
-    doc, benchmarks = load_benchmarks(path)
+    doc = load_json(path)
+    benchmarks = doc.get("benchmarks")
+    if not isinstance(benchmarks, list) or not benchmarks:
+        raise ValueError("no 'benchmarks' array")
 
     if doc.get("identical") is not True:
         errors.append(
@@ -375,68 +240,11 @@ def check_trace(path, disabled_ceiling, enabled_ceiling):
 def self_test():
     """Unit checks for the gate itself: every malformed-report shape must
     produce a readable `file: reason` line and exit 1 — never a traceback —
-    and well-formed reports must pass. Run from CI before the real gates."""
+    well-formed reports must pass, and each check has a case that fails
+    without it. Run from CI before the real gates."""
     import contextlib
     import io
     import tempfile
-
-    good_perf = {
-        "benchmarks": [{"name": "b1", "identical": True, "speedup": 2.0}]
-    }
-    good_fuzz = {
-        "fuzz": {
-            "seed": 1,
-            "requested": 10,
-            "executed": 10,
-            "corpus_replayed": 4,
-            "divergences": 0,
-            "degenerate": 0,
-            "non_converged": 2,
-            "operations": 170,
-            "transports": 120,
-            "max_fixpoint_rounds": 21,
-            "elapsed_s": 0.05,
-            "ok": True,
-        }
-    }
-
-    def diverged_fuzz():
-        doc = json.loads(json.dumps(good_fuzz))
-        doc["fuzz"]["divergences"] = 2
-        doc["fuzz"]["ok"] = False
-        return doc
-
-    good_trace = {
-        "reps": 3,
-        "micro": {"ns_per_site_disabled": 0.1, "ns_per_event_enabled": 70.0},
-        "benchmarks": [
-            {
-                "name": "PCR/dcsa",
-                "disabled_seconds": 0.01,
-                "enabled_seconds": 0.0104,
-                "events": 500,
-                "enabled_overhead": 0.04,
-                "projected_disabled_overhead": 0.0001,
-                "identical": True,
-            }
-        ],
-        "geomean_enabled_overhead": 0.04,
-        "max_projected_disabled_overhead": 0.0001,
-        "identical": True,
-    }
-
-    def costly_trace():
-        doc = json.loads(json.dumps(good_trace))
-        doc["benchmarks"][0]["projected_disabled_overhead"] = 0.05
-        doc["max_projected_disabled_overhead"] = 0.05
-        doc["geomean_enabled_overhead"] = 0.25
-        return doc
-
-    def divergent_trace():
-        doc = json.loads(json.dumps(good_trace))
-        doc["benchmarks"][0]["identical"] = False
-        doc["identical"] = False
-        return doc
 
     good_service = {
         "service": {
@@ -459,33 +267,39 @@ def self_test():
             },
         }
     }
-
-    def endpointless_service():
-        doc = json.loads(json.dumps(good_service))
-        del doc["service"]["server_endpoints"]
-        return doc
-
-    good_flow = {
+    good_fuzz = {
+        "fuzz": {
+            "seed": 1,
+            "requested": 10,
+            "executed": 10,
+            "corpus_replayed": 4,
+            "divergences": 0,
+            "degenerate": 0,
+            "non_converged": 2,
+            "operations": 170,
+            "transports": 120,
+            "max_fixpoint_rounds": 21,
+            "elapsed_s": 0.05,
+            "ok": True,
+        }
+    }
+    good_trace = {
         "reps": 3,
+        "micro": {"ns_per_site_disabled": 0.1, "ns_per_event_enabled": 70.0},
         "benchmarks": [
             {
                 "name": "PCR/dcsa",
-                "speedup": 1.0,
+                "disabled_seconds": 0.01,
+                "enabled_seconds": 0.0104,
+                "events": 500,
+                "enabled_overhead": 0.04,
+                "projected_disabled_overhead": 0.0001,
                 "identical": True,
-                "flow": {"rounds": 1, "transports_rerouted": 3,
-                         "transports_reused": 0, "cells_evicted": 0},
-            },
-            {
-                "name": "CPA/baseline",
-                "speedup": 1.6,
-                "identical": True,
-                "flow": {"rounds": 3, "transports_rerouted": 47,
-                         "transports_reused": 58, "cells_evicted": 51},
-            },
+            }
         ],
-        "geomean_speedup": 1.26,
-        "geomean_speedup_multi_round": 1.6,
-        "multi_round_configs": 1,
+        "geomean_enabled_overhead": 0.04,
+        "max_projected_disabled_overhead": 0.0001,
+        "identical": True,
     }
 
     def edited(doc, edit):
@@ -493,9 +307,37 @@ def self_test():
         edit(doc)
         return doc
 
+    def failing_service(service):
+        service.update(total=0, unanswered=1, unexpected_status=2,
+                       identical=False, latency_ms={"p99": 9000.0},
+                       error_rate=0.5)
+        endpoints = service["server_endpoints"]
+        del endpoints["trace"]
+        endpoints["synthesize"]["count"] = 0
+        del endpoints["synthesize"]["p99_ms"]
+
+    def costly_trace(doc):
+        doc["benchmarks"][0]["projected_disabled_overhead"] = 0.05
+        doc["max_projected_disabled_overhead"] = 0.05
+        doc["geomean_enabled_overhead"] = 0.25
+
+    def divergent_trace(doc):
+        doc["benchmarks"][0]["identical"] = False
+        doc["identical"] = False
+
+    def unmeasured_trace(doc):
+        del doc["benchmarks"][0]["projected_disabled_overhead"]
+        del doc["geomean_enabled_overhead"]
+        del doc["max_projected_disabled_overhead"]
+
+    def diverged_fuzz(doc):
+        doc["fuzz"].update(divergences=2, ok=False)
+
     failures = []
 
-    def case(name, content, extra_argv, want_exit, want_text=()):
+    def case(name, content, flag, want_exit, want_text=()):
+        """Runs the gate `flag` (none: no gate at all) on `content`: a
+        JSON-able document, raw text, or None for a missing file."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "report.json")
             if content is not None:
@@ -509,7 +351,7 @@ def self_test():
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
                     out
                 ):
-                    code = main([path] if not extra_argv else extra_argv + [path])
+                    code = main([flag, path] if flag else [])
             except SystemExit as exc:  # argparse errors
                 code = exc.code
             except Exception as exc:  # noqa: BLE001 — a traceback IS the bug
@@ -529,139 +371,97 @@ def self_test():
                         f"{name}: output is missing {needle!r}; got:\n{text}"
                     )
 
-    case("good perf file passes", good_perf, [], 0, ["all benchmark gates"])
-    case("missing file is readable", None, [], 1, ["cannot read file"])
-    case("invalid JSON is readable", "{not json", [], 1, ["not valid JSON"])
-    case("non-object top level", "[1, 2]", [], 1, ["not a JSON object"])
+    case("no gate given is a usage error", None, None, 2, ["nothing to check"])
+    case("missing file is readable", None, "--fuzz", 1, ["cannot read file"])
+    case("invalid JSON is readable", "{not json", "--service", 1,
+         ["not valid JSON"])
+    case("non-object top level", "[1, 2]", "--trace", 1, ["not a JSON object"])
     case(
         "non-object benchmark entry",
-        {"benchmarks": ["oops"]},
-        [],
+        edited(good_trace, lambda d: d.update(benchmarks=["oops"])),
+        "--trace",
         1,
         ["benchmarks[0] is not an object"],
     )
-    case(
-        "slow benchmark fails the floor",
-        {"benchmarks": [{"name": "b", "identical": True, "speedup": 0.5}]},
-        [],
-        1,
-        ["below the 1.00x floor"],
-    )
-    case(
-        "perf entry not identical fails",
-        edited(good_perf, lambda d: d["benchmarks"][0].update(identical=False)),
-        [],
-        1,
-        ["b1: core result is not reported identical"],
-    )
-    case(
-        "geomean below its --geomean floor fails",
-        good_perf,
-        ["--geomean", "report.json=3"],
-        1,
-        ["geomean speedup 2.000x is below the 3.00x floor"],
-    )
-    case("good flow report passes", good_flow, ["--flow"], 0,
+    case("good service report passes", good_service, "--service", 0,
          ["all benchmark gates"])
+    case("service report without service object", {"fuzz": {}}, "--service",
+         1, ["no 'service' object"])
     case(
-        "flow config not identical fails",
-        edited(good_flow, lambda d: d["benchmarks"][1].update(identical=False)),
-        ["--flow"],
+        "every service check fails its report",
+        edited(good_service, lambda d: failing_service(d["service"])),
+        "--service",
         1,
-        ["CPA/baseline: incremental fixpoint is not reported identical"],
+        [
+            "no requests were recorded",
+            "1 request(s) were dropped",
+            "2 request(s) got a status outside",
+            "not bit-identical",
+            "p99 latency 9000.0 ms exceeds the 5000 ms ceiling",
+            "error rate 0.5000 exceeds the 0.0000 ceiling",
+            "server_endpoints.trace is missing",
+            "server_endpoints.synthesize.p99_ms is missing",
+            "server recorded no synthesize latencies",
+        ],
     )
     case(
-        "flow config below the per-config floor fails",
-        edited(good_flow, lambda d: d["benchmarks"][0].update(speedup=0.5)),
-        ["--flow"],
+        "service latency_ms and error_rate missing",
+        edited(good_service,
+               lambda d: d["service"].update(latency_ms="fast", error_rate=None)),
+        "--service",
         1,
-        ["PCR/dcsa: end-to-end speedup 0.500x is below the 0.85x floor"],
-    )
-    case(
-        "multi-round geomean below its floor fails",
-        edited(good_flow,
-               lambda d: d.update(geomean_speedup_multi_round=1.1)),
-        ["--flow"],
-        1,
-        ["multi-round geomean speedup 1.100x is below the 1.20x floor"],
-    )
-    case(
-        "flow report without a multi-round geomean fails",
-        edited(good_flow, lambda d: d.pop("geomean_speedup_multi_round")),
-        ["--flow"],
-        1,
-        ["missing geomean_speedup_multi_round"],
-    )
-    case(
-        "service latency_ms not an object",
-        {
-            "service": {
-                "total": 5,
-                "unanswered": 0,
-                "unexpected_status": 0,
-                "identical": True,
-                "latency_ms": "fast",
-                "error_rate": 0.0,
-            }
-        },
-        ["--service"],
-        1,
-        ["missing latency_ms.p99"],
-    )
-    case(
-        "good service report passes",
-        good_service,
-        ["--service"],
-        0,
-        ["all benchmark gates"],
+        ["missing latency_ms.p99", "missing error_rate"],
     )
     case(
         "service without endpoint histograms fails",
-        endpointless_service(),
-        ["--service"],
+        edited(good_service, lambda d: d["service"].pop("server_endpoints")),
+        "--service",
         1,
         ["missing server_endpoints"],
     )
-    case(
-        "good trace report passes",
-        good_trace,
-        ["--trace"],
-        0,
-        ["geomean enabled overhead"],
-    )
+    case("good trace report passes", good_trace, "--trace", 0,
+         ["geomean enabled overhead"])
+    case("trace report without benchmarks", {"identical": True}, "--trace", 1,
+         ["no 'benchmarks' array"])
     case(
         "costly trace sites fail both ceilings",
-        costly_trace(),
-        ["--trace"],
+        edited(good_trace, costly_trace),
+        "--trace",
         1,
-        ["projected disabled-site overhead", "geomean enabled overhead 25.00%"],
+        ["projected disabled-site overhead",
+         "geomean enabled overhead 25.00% exceeds the 10% ceiling"],
     )
     case(
         "divergent trace run fails",
-        divergent_trace(),
-        ["--trace"],
+        edited(good_trace, divergent_trace),
+        "--trace",
         1,
-        ["diverged from the untraced result"],
+        ["traced run is not reported identical",
+         "diverged from the untraced result"],
     )
-    case("good fuzz report passes", good_fuzz, ["--fuzz"], 0, ["divergences=0"])
+    case(
+        "trace report without its overheads fails",
+        edited(good_trace, unmeasured_trace),
+        "--trace",
+        1,
+        ["missing projected_disabled_overhead",
+         "missing geomean_enabled_overhead",
+         "missing max_projected_disabled_overhead"],
+    )
+    case("good fuzz report passes", good_fuzz, "--fuzz", 0, ["divergences=0"])
     case(
         "fuzz divergence fails",
-        diverged_fuzz(),
-        ["--fuzz"],
+        edited(good_fuzz, diverged_fuzz),
+        "--fuzz",
         1,
         ["divergence(s)", "did not report ok"],
     )
-    case(
-        "fuzz report without fuzz object",
-        {"benchmarks": []},
-        ["--fuzz"],
-        1,
-        ["no 'fuzz' object"],
-    )
+    case("fuzz report without fuzz object", {"benchmarks": []}, "--fuzz", 1,
+         ["no 'fuzz' object"])
     case(
         "fuzz report with zero executed",
         {"fuzz": {"executed": 0, "divergences": 0, "ok": True}},
-        ["--fuzz"],
+        "--fuzz",
         1,
         ["no scenarios were executed"],
     )
@@ -677,48 +477,7 @@ def self_test():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Fail when a core-vs-reference bench regresses."
-    )
-    parser.add_argument(
-        "files", nargs="*", default=[], help="BENCH_*.json perf files"
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.0,
-        help="per-benchmark speedup floor (default: 1.0)",
-    )
-    parser.add_argument(
-        "--geomean",
-        action="append",
-        default=[],
-        metavar="FILE=X",
-        help="geomean speedup floor for one file, by basename "
-        "(e.g. BENCH_sched.json=1.5); repeatable",
-    )
-    parser.add_argument(
-        "--flow",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="BENCH_flow.json route–retime fixpoint report(s) to gate; "
-        "repeatable",
-    )
-    parser.add_argument(
-        "--flow-min-speedup",
-        type=float,
-        default=0.85,
-        help="per-config end-to-end speedup floor for --flow files "
-        "(default: 0.85 — slack only for timer noise on single-round "
-        "flows, whose theoretical best is parity; pooled probe buffers "
-        "keep the footprint-recording overhead to a few percent)",
-    )
-    parser.add_argument(
-        "--flow-geomean-multi",
-        type=float,
-        default=1.2,
-        help="geomean speedup floor over multi-round flows for --flow "
-        "files (default: 1.2)",
+        description="Fail when a service, tracing or fuzzing report regresses."
     )
     parser.add_argument(
         "--service",
@@ -778,85 +537,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.self_test:
         return self_test()
-    if (
-        not args.files
-        and not args.service
-        and not args.flow
-        and not args.fuzz
-        and not args.trace
-    ):
-        parser.error(
-            "nothing to check: give perf files, --flow, --service, "
-            "--fuzz, and/or --trace"
-        )
+    if not args.service and not args.fuzz and not args.trace:
+        parser.error("nothing to check: give --service, --fuzz and/or --trace")
 
-    geomean_floors = {}
-    for spec in args.geomean:
-        name, sep, value = spec.partition("=")
-        if not sep:
-            parser.error(f"--geomean needs FILE=X, got {spec!r}")
-        geomean_floors[os.path.basename(name)] = float(value)
-
+    gates = [
+        (args.service,
+         lambda path: check_service(path, args.service_p99,
+                                    args.service_error_rate)),
+        (args.fuzz, check_fuzz),
+        (args.trace,
+         lambda path: check_trace(path, args.trace_disabled_overhead,
+                                  args.trace_enabled_overhead)),
+    ]
     all_errors = []
-    for path in args.files:
-        floor = geomean_floors.get(os.path.basename(path))
-        try:
-            errors, speedups, geomean = check_file(
-                path, args.min_speedup, floor
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            all_errors.append(f"{path}: {exc}")
-            continue
-        all_errors.extend(errors)
-        summary = (
-            f"{path}: {len(speedups)} benchmarks, "
-            f"min {min(speedups):.2f}x, geomean {geomean:.2f}x"
-            if speedups
-            else f"{path}: no speedups"
-        )
-        if floor is not None:
-            summary += f" (floor {floor:.2f}x)"
-        print(summary)
-
-    for path in args.flow:
-        try:
-            all_errors.extend(
-                check_flow(
-                    path,
-                    args.flow_min_speedup,
-                    args.flow_geomean_multi,
-                )
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            all_errors.append(f"{path}: {exc}")
-
-    for path in args.service:
-        try:
-            all_errors.extend(
-                check_service(
-                    path, args.service_p99, args.service_error_rate
-                )
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            all_errors.append(f"{path}: {exc}")
-
-    for path in args.fuzz:
-        try:
-            all_errors.extend(check_fuzz(path))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            all_errors.append(f"{path}: {exc}")
-
-    for path in args.trace:
-        try:
-            all_errors.extend(
-                check_trace(
-                    path,
-                    args.trace_disabled_overhead,
-                    args.trace_enabled_overhead,
-                )
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            all_errors.append(f"{path}: {exc}")
+    for paths, check in gates:
+        for path in paths:
+            try:
+                all_errors.extend(check(path))
+            except (OSError, ValueError, json.JSONDecodeError) as exc:
+                all_errors.append(f"{path}: {exc}")
 
     if all_errors:
         print(f"\n{len(all_errors)} regression(s):", file=sys.stderr)

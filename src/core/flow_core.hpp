@@ -23,7 +23,7 @@
 // oracle route_until_consistent_reference (oracle/reference_flow.hpp):
 // tests/flow_equivalence_test.cpp proves the two produce bit-identical
 // (Schedule, RoutingResult) pairs on every paper benchmark under both
-// presets, and bench/flow_perf measures the speedup.
+// presets (the last timing of the two is in EXPERIMENTS.md).
 
 #pragma once
 

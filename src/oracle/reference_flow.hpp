@@ -4,10 +4,9 @@
 // Every round builds a fresh RoutingGrid and routes every transport with
 // route_transports; between rounds it retimes, and at the round cap it
 // retimes once more and returns one reconciliation route, exactly as the
-// incremental loop does. tests/flow_equivalence_test.cpp, the fuzz oracle
-// (src/testgen) and bench/flow_perf assert that the two produce
-// bit-identical (Schedule, RoutingResult) pairs; bench/flow_perf also
-// measures the incremental loop's speedup over this one.
+// incremental loop does. tests/flow_equivalence_test.cpp and the fuzz
+// oracle (src/testgen) assert that the two produce bit-identical
+// (Schedule, RoutingResult) pairs.
 
 #pragma once
 

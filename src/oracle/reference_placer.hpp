@@ -4,10 +4,10 @@
 // evaluates proposals incrementally. This header keeps the original
 // implementation — copy-based proposals, O(nets) full-energy evaluation with
 // an O(n^2) pairwise compaction rescan, O(n) legality scans, and the
-// placed-id rejection sampler — verbatim as a test/bench oracle. The two
-// are bit-identical by construction: tests/placer_equivalence_test.cpp and
-// bench/place_perf assert identical placements and energies per paper
-// benchmark, and bench/place_perf reports the core's speedup.
+// placed-id rejection sampler — verbatim as a test oracle. The two are
+// bit-identical by construction: tests/placer_equivalence_test.cpp
+// asserts identical placements and energies per paper benchmark, and the
+// fuzz oracle (src/testgen) identical placements per generated scenario.
 //
 // The reference keeps no PlaceStats (mirroring route_transports_reference,
 // which keeps no RouteStats): counters are telemetry, and the oracle stays

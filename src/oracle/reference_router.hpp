@@ -5,10 +5,9 @@
 // oracle for the optimized flat-array core (route/router_core.hpp) that
 // route_transports runs. It is O(n) per heuristic evaluation and allocates
 // per task, so nothing in the synthesis flow calls it — its callers are
-// the equivalence tests (tests/router_equivalence_test.cpp), the fuzz
-// oracle (src/testgen) and bench/route_perf, which assert that
-// route_transports produces bit-identical RoutingResults and measure the
-// speedup.
+// the equivalence tests (tests/router_equivalence_test.cpp) and the fuzz
+// oracle (src/testgen), which assert that route_transports produces
+// bit-identical RoutingResults.
 //
 // Semantics are identical to route_transports (including the RoutingError
 // thrown on an internal occupancy conflict); only RoutingResult::stats is

@@ -7,11 +7,11 @@
 // implementation — a std::set ready queue re-balanced per operation,
 // std::map share bookkeeping per producer, per-operation
 // components_of_type allocations, and repeated WashModel lookups —
-// verbatim as a test/bench oracle, following the router/placer pattern
+// verbatim as a test oracle, following the router/placer pattern
 // (oracle/reference_router.hpp, oracle/reference_placer.hpp). The two are
 // bit-identical by construction: tests/scheduler_equivalence_test.cpp and
-// bench/sched_perf assert identical Schedules per paper benchmark, and
-// bench/sched_perf reports the core's speedup.
+// the fuzz oracle (src/testgen) assert identical Schedules per paper
+// benchmark and generated scenario.
 //
 // The reference keeps no SchedStats (mirroring the router and placer
 // references): counters are telemetry, and the oracle stays frozen.

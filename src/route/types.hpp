@@ -118,7 +118,7 @@ struct RoutingResult {
 
 /// True when the two results are == apart from their telemetry-only
 /// RouteStats. This is the equivalence relation the core-vs-reference
-/// tests and benches assert.
+/// tests and the fuzz oracle assert.
 bool identical_routing(const RoutingResult& a, const RoutingResult& b);
 
 }  // namespace fbmb

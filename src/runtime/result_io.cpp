@@ -302,15 +302,6 @@ constexpr Key operator""_key() {
   return {std::string_view(K.text, sizeof(K.text))};
 }
 
-/// How a stats table loads from spills written before it existed: an
-/// `optional` object may be absent, leaving every counter zero, and the
-/// key `added_later` may be absent from a present object, leaving that
-/// member zero.
-struct Legacy {
-  bool optional = false;
-  std::string_view added_later = {};
-};
-
 /// T is R or const R, so one field list serves the writer and the reader.
 template <class T, class R>
 concept Is = std::same_as<std::remove_const_t<T>, R>;
@@ -318,8 +309,7 @@ concept Is = std::same_as<std::remove_const_t<T>, R>;
 // The schema of a result document: each record's JSON keys, once each, in
 // output order. FieldWriter and FieldReader both run these lists.
 // `io("key"_key, member)` names a key every document carries; a stats table
-// (util/fields.hpp) is written as its kFields rows and loads by a Legacy
-// rule.
+// (util/fields.hpp) is an object of its kFields rows.
 
 void fields(auto& io, Is<Fluid> auto& fluid) {
   io("name"_key, fluid.name);
@@ -385,8 +375,7 @@ void fields(auto& io, Is<RoutedPath> auto& p) {
 void fields(auto& io, Is<RoutingResult> auto& routing) {
   io("total_wash_time"_key, routing.total_wash_time);
   io("conflict_postponements"_key, routing.conflict_postponements);
-  io("route_stats"_key, routing.stats,
-     {.optional = true, .added_later = "fixpoints_capped"});
+  io("route_stats"_key, routing.stats);
   io("delays"_key, routing.delays);
   io("paths"_key, routing.paths);
 }
@@ -418,15 +407,14 @@ void fields(auto& io, Is<SynthesisResult> auto& result) {
   io("total_cache_time"_key, result.total_cache_time);
   io("channel_wash_time"_key, result.channel_wash_time);
   io("cpu_seconds"_key, result.cpu_seconds);
-  // grid_build was split out of the route span later.
-  io("stage_seconds"_key, result.stage_seconds, {.added_later = "grid_build"});
+  io("stage_seconds"_key, result.stage_seconds);
   io("stats"_key, result.stats);
   io("chip"_key, result.chip);
   io("schedule"_key, result.schedule);
   io("placement"_key, result.placement);
-  io("place_stats"_key, result.place_stats, {.optional = true});
-  io("sched_stats"_key, result.sched_stats, {.optional = true});
-  io("flow_stats"_key, result.flow_stats, {.optional = true});
+  io("place_stats"_key, result.place_stats);
+  io("sched_stats"_key, result.sched_stats);
+  io("flow_stats"_key, result.flow_stats);
   io("routing"_key, result.routing);
 }
 
@@ -443,8 +431,7 @@ class FieldWriter {
   // Every served result runs this writer. As a call per field instead of
   // inline code, it took 5 to 10% longer on results of 6 to 56 KB.
   template <class T>
-  [[gnu::always_inline]] void operator()(Key key, const T& member,
-                                         Legacy = {}) {
+  [[gnu::always_inline]] void operator()(Key key, const T& member) {
     out_ += first_ ? key.text.substr(2) : key.text;
     write(member);
     first_ = false;
@@ -530,8 +517,8 @@ class FieldWriter {
 };
 
 /// Runs a field list over one parsed JSON object. A listed key that is
-/// missing or holds the wrong JSON type fails the read, except where a
-/// Legacy rule allows; keys no list names are ignored.
+/// missing or holds the wrong JSON type fails the read; keys no list names
+/// are ignored.
 class FieldReader {
  public:
   explicit FieldReader(const jsonio::Value& object) : object_(object) {}
@@ -539,20 +526,6 @@ class FieldReader {
   template <class T>
   void operator()(Key key, T& member) {
     if (!read(object_.find(key.name()), member)) ok_ = false;
-  }
-
-  template <class S>
-  void operator()(Key key, S& table, Legacy legacy) {
-    const jsonio::Value* object = object_.find(key.name());
-    if (!object || object->kind != jsonio::Value::Kind::kObject) {
-      if (!legacy.optional) ok_ = false;
-      return;
-    }
-    for (const auto& field : S::kFields) {
-      const jsonio::Value* v = object->find(field.key);
-      if (!v && field.key == legacy.added_later) continue;
-      if (!read(v, table.*field.member)) ok_ = false;
-    }
   }
 
   /// Reads `out` from `v`; false when `v` is null or malformed.
@@ -613,6 +586,16 @@ class FieldReader {
     out = Placement(placed.size());
     for (std::size_t i = 0; i < placed.size(); ++i) {
       out.at(ComponentId{static_cast<int>(i)}) = placed[i];
+    }
+    return true;
+  }
+
+  template <class S>
+    requires requires { S::kFields; }
+  static bool read(const jsonio::Value* v, S& table) {
+    if (!v || v->kind != jsonio::Value::Kind::kObject) return false;
+    for (const auto& field : S::kFields) {
+      if (!read(v->find(field.key), table.*field.member)) return false;
     }
     return true;
   }

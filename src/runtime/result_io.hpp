@@ -2,7 +2,7 @@
 // spill-to-disk and loadable by external tooling. The schema is the field
 // lists in result_io.cpp: one per record, naming each key once in output
 // order, run by both the writer and the reader; docs/RUNTIME.md gives the
-// rules by which older spills still load. Doubles are written as %.17g
+// rules a spill entry must meet to load. Doubles are written as %.17g
 // writes them, via std::to_chars, which unlike printf does not depend on
 // the C locale. Every IEEE-754 value round-trips bit-exactly: a result
 // loaded from disk is indistinguishable from the freshly computed one.

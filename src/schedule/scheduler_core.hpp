@@ -26,9 +26,9 @@
 //
 // The result is bit-identical to the original implementation, which is
 // kept verbatim in oracle/reference_scheduler.hpp as the oracle:
-// tests/scheduler_equivalence_test.cpp and bench/sched_perf assert
-// identical Schedules (operations, transports, washes, completion) on
-// every paper benchmark.
+// tests/scheduler_equivalence_test.cpp and the fuzz oracle (src/testgen)
+// assert identical Schedules (operations, transports, washes, completion)
+// on every paper benchmark and generated scenario.
 //
 // SchedStats counts the core's search effort (heap traffic, binding
 // probes, Case I/II decisions) for the runtime telemetry layer; the

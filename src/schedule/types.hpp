@@ -112,7 +112,7 @@ struct Schedule {
   std::string to_string(const SequencingGraph& graph) const;
 
   /// Every member equal, doubles exactly (no tolerance): the equivalence
-  /// the core-vs-reference oracle, tests and benches assert.
+  /// the core-vs-reference oracle and tests assert.
   friend bool operator==(const Schedule&, const Schedule&) = default;
 };
 

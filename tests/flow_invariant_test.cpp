@@ -202,8 +202,9 @@ TEST(FlowInvariants, StageTimesAccountForCpuSeconds) {
       << " cpu=" << result.cpu_seconds;
 }
 
-/// The result-cache spill must round-trip the new counters, and spills
-/// written before they existed must still load (with the counters zero).
+/// The result-cache spill must round-trip the fixpoint counters, and a
+/// spill written before they existed is malformed: it could load but never
+/// hit, because every fingerprint changed after all three keys existed.
 TEST(FlowInvariants, SpillRoundTripsFlowCounters) {
   const Benchmark bench = make_pcr();
   SynthesisOptions options;
@@ -226,26 +227,23 @@ TEST(FlowInvariants, SpillRoundTripsFlowCounters) {
             result.routing.stats.fixpoints_capped);
   EXPECT_EQ(parsed->stage_seconds.grid_build, result.stage_seconds.grid_build);
 
-  // Legacy spill: strip the keys this change introduced and re-parse.
-  std::string legacy = json;
-  const auto fs = legacy.find("\"flow_stats\"");
+  // Without any one of those keys the document does not load.
+  std::string no_flow_stats = json;
+  const auto fs = no_flow_stats.find("\"flow_stats\"");
   ASSERT_NE(fs, std::string::npos);
-  const auto fs_end = legacy.find("}", fs);
-  ASSERT_NE(fs_end, std::string::npos);
-  legacy.erase(fs, fs_end - fs + 3);  // drops `"flow_stats": {...}, `
-  const auto cap = legacy.find(", \"fixpoints_capped\"");
+  // Drops `"flow_stats": {...}, `.
+  no_flow_stats.erase(fs, no_flow_stats.find("}", fs) - fs + 3);
+  EXPECT_FALSE(synthesis_result_from_json(no_flow_stats).has_value());
+  std::string no_capped = json;
+  const auto cap = no_capped.find(", \"fixpoints_capped\"");
   ASSERT_NE(cap, std::string::npos);
-  legacy.erase(cap, legacy.find("}", cap) - cap);
-  const auto gb = legacy.find(", \"grid_build\"");
+  no_capped.erase(cap, no_capped.find("}", cap) - cap);
+  EXPECT_FALSE(synthesis_result_from_json(no_capped).has_value());
+  std::string no_grid_build = json;
+  const auto gb = no_grid_build.find(", \"grid_build\"");
   ASSERT_NE(gb, std::string::npos);
-  legacy.erase(gb, legacy.find(",", gb + 2) - gb);
-
-  const auto old = synthesis_result_from_json(legacy);
-  ASSERT_TRUE(old.has_value()) << "legacy spill without the new keys must load";
-  EXPECT_EQ(old->flow_stats.rounds, 0u);
-  EXPECT_EQ(old->routing.stats.fixpoints_capped, 0u);
-  EXPECT_EQ(old->stage_seconds.grid_build, 0.0);
-  EXPECT_TRUE(old->schedule == result.schedule);
+  no_grid_build.erase(gb, no_grid_build.find(",", gb + 2) - gb);
+  EXPECT_FALSE(synthesis_result_from_json(no_grid_build).has_value());
 }
 
 /// Telemetry must aggregate and emit the new counters.

@@ -7,13 +7,16 @@
 // (the result cache's key), a digest of its complete result JSON
 // (synthesis_result_to_json with the run telemetry cpu_seconds and
 // stage_seconds zeroed, so flow_stats and every other counter are
-// included), and the headline metrics. "Results are byte-identical" is
-// then an empty diff of that file.
+// included), the headline metrics, and the per-layer work counts that
+// e2ebench's traced run reports (kColumns). "Results are byte-identical"
+// is then an empty diff of that file, and a change in work is a diff of
+// named count columns.
 //
-// On a mismatch the test names each input that moved and writes the
-// actual ledger beside the test binary. A change that moves results on
-// purpose copies it over the committed file with the command the failure
-// prints (docs/TESTING.md), and explains every moved line.
+// On a mismatch the test names each input that moved with the columns
+// that moved in it, and writes the actual ledger beside the test binary.
+// A change that moves results on purpose copies it over the committed file
+// with the command the failure prints (docs/TESTING.md), and explains
+// every moved line.
 //
 // tests/identity_spill.json is a ResultCache spill of three ledger inputs
 // (kSpillKeys), kept with their real run telemetry. Every entry must load,
@@ -23,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -71,6 +75,30 @@ std::vector<SynthesisJob> ledger_jobs() {
   return out;
 }
 
+/// A ledger line's columns, in order.
+constexpr std::string_view kColumns[] = {
+    "name", "flow", "fingerprint", "result_digest", "completion_s",
+    "channel_length_mm", "channel_wash_s", "cache_time_s", "fixpoints_capped",
+    "rounds", "transports_reused", "nodes_expanded", "feasibility_rejections",
+    "postponement_steps", "proposals", "accepts", "case1_bindings"};
+
+/// The ledger's header: the column names and where each count comes from.
+std::string ledger_header() {
+  std::string header =
+      "# Identity ledger (tests/identity_ledger_test.cpp). Columns:\n#";
+  for (const std::string_view column : kColumns) {
+    header += ' ';
+    header += column;
+  }
+  return header +
+         "\n# fixpoints_capped, nodes_expanded, feasibility_rejections and "
+         "postponement_steps\n# come from the winning candidate "
+         "(routing.stats). rounds and transports_reused\n# (flow_stats) and "
+         "proposals and accepts (place_stats) are summed over all\n# "
+         "placement candidates. case1_bindings counts the one scheduling "
+         "pass (sched_stats).\n";
+}
+
 /// "name flow": the key a ledger line is matched by.
 std::string job_key(const SynthesisJob& job) {
   return job.name + " " + flow_preset_name(job.flow);
@@ -84,12 +112,28 @@ std::string line_key(const std::string& line) {
   return name + " " + flow;
 }
 
-/// Column `index` (0-based) of a ledger line.
-std::string line_column(const std::string& line, int index) {
+/// Column `index` (0-based) of a ledger line; empty past its last column.
+std::string line_column(const std::string& line, std::size_t index) {
   std::istringstream in(line);
   std::string column;
-  for (int i = 0; i <= index; ++i) in >> column;
+  for (std::size_t i = 0; i <= index; ++i) {
+    if (!(in >> column)) return "";
+  }
   return column;
+}
+
+/// "column: want -> got" for each column in which two lines differ.
+std::string column_diff(const std::string& want, const std::string& got) {
+  std::string diff;
+  for (std::size_t i = 0; i < std::size(kColumns); ++i) {
+    const std::string w = line_column(want, i);
+    const std::string g = line_column(got, i);
+    if (w != g) {
+      diff += "\n    ";
+      diff.append(kColumns[i]).append(": ").append(w).append(" -> ").append(g);
+    }
+  }
+  return diff;
 }
 
 /// Digest of the result JSON with the run telemetry zeroed.
@@ -103,12 +147,23 @@ std::string result_digest(SynthesisResult result) {
 
 std::string ledger_line(const SynthesisJob& job, const JobOutcome& outcome) {
   const SynthesisResult& result = outcome.result;
-  return job_key(job) + " " + outcome.fingerprint.to_hex() + " " +
-         result_digest(result) + " " + json_number(result.completion_time) +
-         " " + json_number(result.channel_length_mm) + " " +
-         json_number(result.channel_wash_time) + " " +
-         json_number(result.total_cache_time) + " " +
-         std::to_string(result.routing.stats.fixpoints_capped);
+  std::string line =
+      job_key(job) + " " + outcome.fingerprint.to_hex() + " " +
+      result_digest(result) + " " + json_number(result.completion_time) +
+      " " + json_number(result.channel_length_mm) + " " +
+      json_number(result.channel_wash_time) + " " +
+      json_number(result.total_cache_time);
+  const RouteStats& route = result.routing.stats;
+  for (const std::uint64_t count :
+       {route.fixpoints_capped, result.flow_stats.rounds,
+        result.flow_stats.transports_reused, route.nodes_expanded,
+        route.feasibility_rejections, route.postponement_steps,
+        result.place_stats.proposals, result.place_stats.accepts,
+        result.sched_stats.case1_bindings}) {
+    line += ' ';
+    line += std::to_string(count);
+  }
+  return line;
 }
 
 /// The ledger's data lines, keyed by line_key; '#' lines are comments.
@@ -138,10 +193,7 @@ std::string read_file(const std::string& path) {
 TEST(IdentityLedger, EveryInputMatchesTheCommittedLedger) {
   const std::vector<SynthesisJob> jobs = ledger_jobs();
   const std::vector<JobOutcome> outcomes = run_ledger_jobs(jobs);
-  std::string actual =
-      "# Identity ledger (tests/identity_ledger_test.cpp). Columns:\n"
-      "# name flow fingerprint result_digest completion_s "
-      "channel_length_mm channel_wash_s cache_time_s fixpoints_capped\n";
+  std::string actual = ledger_header();
   std::map<std::string, std::string> got;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const std::string line = ledger_line(jobs[i], outcomes[i]);
@@ -159,7 +211,7 @@ TEST(IdentityLedger, EveryInputMatchesTheCommittedLedger) {
     if (it == want.end()) {
       moved.push_back("  new:     " + line);
     } else if (it->second != line) {
-      moved.push_back("  ledger:  " + it->second + "\n  actual:  " + line);
+      moved.push_back("  moved:   " + key + column_diff(it->second, line));
     }
   }
   for (const auto& [key, line] : want) {

@@ -386,8 +386,9 @@ TEST(ResultIo, SchedStatsRoundTripAndBackwardCompat) {
   EXPECT_EQ(back->sched_stats.case1_bindings, 39u);
   EXPECT_EQ(back->sched_stats.case2_bindings, 16u);
 
-  // Spills written before the counters existed have no "sched_stats" key;
-  // they must still load, with the counters defaulting to zero.
+  // Spills written before the counters existed have no "sched_stats" key.
+  // Such an entry could never hit (its fingerprint predates the current
+  // hash), so the key is required and the document is malformed.
   SynthesisResult plain = tiny_result(7.0);
   std::string legacy = synthesis_result_to_json(plain);
   const std::size_t at = legacy.find("\"sched_stats\"");
@@ -396,15 +397,7 @@ TEST(ResultIo, SchedStatsRoundTripAndBackwardCompat) {
   ASSERT_NE(end, std::string::npos);
   legacy.erase(at, end - at + 3);
   ASSERT_EQ(legacy.find("sched_stats"), std::string::npos);
-  const auto old = synthesis_result_from_json(legacy);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->completion_time, 7.0);
-  EXPECT_EQ(old->sched_stats.ops_scheduled, 0u);
-  EXPECT_EQ(old->sched_stats.heap_pushes, 0u);
-  EXPECT_EQ(old->sched_stats.heap_pops, 0u);
-  EXPECT_EQ(old->sched_stats.binding_probes, 0u);
-  EXPECT_EQ(old->sched_stats.case1_bindings, 0u);
-  EXPECT_EQ(old->sched_stats.case2_bindings, 0u);
+  EXPECT_FALSE(synthesis_result_from_json(legacy).has_value());
 }
 
 TEST(ResultIo, PlaceStatsRoundTripAndBackwardCompat) {
@@ -425,8 +418,9 @@ TEST(ResultIo, PlaceStatsRoundTripAndBackwardCompat) {
   EXPECT_EQ(back->place_stats.full_evals, 2u);
   EXPECT_EQ(back->place_stats.occupancy_probes, 15433u);
 
-  // Spills written before the counters existed have no "place_stats" key;
-  // they must still load, with the counters defaulting to zero.
+  // Spills written before the counters existed have no "place_stats" key.
+  // Such an entry could never hit (its fingerprint predates the current
+  // hash), so the key is required and the document is malformed.
   SynthesisResult plain = tiny_result(7.0);
   std::string legacy = synthesis_result_to_json(plain);
   const std::size_t at = legacy.find("\"place_stats\"");
@@ -437,14 +431,7 @@ TEST(ResultIo, PlaceStatsRoundTripAndBackwardCompat) {
   // plus the trailing comma-space separator.
   legacy.erase(at, end - at + 3);
   ASSERT_EQ(legacy.find("place_stats"), std::string::npos);
-  const auto old = synthesis_result_from_json(legacy);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->completion_time, 7.0);
-  EXPECT_EQ(old->place_stats.proposals, 0u);
-  EXPECT_EQ(old->place_stats.accepts, 0u);
-  EXPECT_EQ(old->place_stats.delta_evals, 0u);
-  EXPECT_EQ(old->place_stats.full_evals, 0u);
-  EXPECT_EQ(old->place_stats.occupancy_probes, 0u);
+  EXPECT_FALSE(synthesis_result_from_json(legacy).has_value());
 }
 
 TEST(ResultIo, FlowStatsRoundTripAndBackwardCompat) {
@@ -488,7 +475,8 @@ TEST(ResultIo, FlowStatsRoundTripAndBackwardCompat) {
   EXPECT_EQ(synthesis_result_to_json(*legacy), json);
 
   // Spills written before the incremental fixpoint existed have no
-  // "flow_stats" key; they must still load, with the counters at zero.
+  // "flow_stats" key. Such an entry could never hit (its fingerprint
+  // predates the current hash), so the document is malformed.
   std::string without = synthesis_result_to_json(tiny_result(7.0));
   const std::size_t at = without.find("\"flow_stats\"");
   ASSERT_NE(at, std::string::npos);
@@ -498,16 +486,10 @@ TEST(ResultIo, FlowStatsRoundTripAndBackwardCompat) {
   // plus the trailing comma-space separator.
   without.erase(at, end - at + 3);
   ASSERT_EQ(without.find("flow_stats"), std::string::npos);
-  const auto old = synthesis_result_from_json(without);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->completion_time, 7.0);
-  EXPECT_EQ(old->flow_stats.rounds, 0u);
-  EXPECT_EQ(old->flow_stats.transports_rerouted, 0u);
-  EXPECT_EQ(old->flow_stats.transports_reused, 0u);
-  EXPECT_EQ(old->flow_stats.cells_evicted, 0u);
+  EXPECT_FALSE(synthesis_result_from_json(without).has_value());
 }
 
-TEST(ResultIo, RouteStatsObjectIsOptional) {
+TEST(ResultIo, RouteStatsObjectIsRequired) {
   SynthesisResult result = tiny_result(42.0);
   result.routing.stats.tasks_routed = 1;
   result.routing.stats.nodes_expanded = 2;
@@ -519,7 +501,10 @@ TEST(ResultIo, RouteStatsObjectIsOptional) {
   result.routing.conflict_postponements = 8;
 
   // Spills written before the router counters existed have no
-  // "route_stats" object; they load with every route counter at zero.
+  // "route_stats" object. Such an entry could never hit (its fingerprint
+  // predates the current hash), so the document is malformed.
+  ASSERT_TRUE(synthesis_result_from_json(synthesis_result_to_json(result))
+                  .has_value());
   std::string legacy = synthesis_result_to_json(result);
   const std::size_t at = legacy.find("\"route_stats\"");
   ASSERT_NE(at, std::string::npos);
@@ -529,22 +514,12 @@ TEST(ResultIo, RouteStatsObjectIsOptional) {
   // plus the trailing comma-space separator.
   legacy.erase(at, end - at + 3);
   ASSERT_EQ(legacy.find("route_stats"), std::string::npos);
-  const auto old = synthesis_result_from_json(legacy);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->completion_time, 42.0);
-  EXPECT_EQ(old->routing.conflict_postponements, 8);
-  EXPECT_EQ(old->routing.stats.tasks_routed, 0u);
-  EXPECT_EQ(old->routing.stats.nodes_expanded, 0u);
-  EXPECT_EQ(old->routing.stats.heap_pushes, 0u);
-  EXPECT_EQ(old->routing.stats.feasibility_rejections, 0u);
-  EXPECT_EQ(old->routing.stats.postponement_steps, 0u);
-  EXPECT_EQ(old->routing.stats.distance_fields_built, 0u);
-  EXPECT_EQ(old->routing.stats.fixpoints_capped, 0u);
+  EXPECT_FALSE(synthesis_result_from_json(legacy).has_value());
 }
 
 TEST(ResultIo, CounterObjectMissingAKeyIsRejected) {
-  // Only a whole counter object may be missing: inside a present
-  // place_stats object every counter is required.
+  // Inside a counter object every counter is required, as the object
+  // itself is.
   SynthesisResult result = tiny_result(42.0);
   result.place_stats.proposals = 13200;
   result.place_stats.accepts = 5607;

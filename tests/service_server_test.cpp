@@ -216,8 +216,7 @@ TEST(SynthServer, RejectsBadRequestBodies) {
            // A lone surrogate escape has no UTF-8 form.
            R"({"benchmark": "PCR", "name": "\ud800"})",
        }) {
-    const auto response =
-        roundtrip(server.port(), "POST", "/synthesize", body);
+    const auto response = roundtrip(server.port(), "POST", "/synthesize", body);
     ASSERT_TRUE(response.has_value()) << body;
     EXPECT_EQ(response->status, 400) << body;
     EXPECT_NE(response->body.find("\"error\""), std::string::npos) << body;
@@ -236,8 +235,7 @@ TEST(SynthServer, RejectsOversizedAllocation) {
            R"({"assay": "op a mix 1\nallocate 2000000000 0 0 0\n"})",
            R"({"assay": "op a detect 1\nallocate 1 0 0 65\n"})",
        }) {
-    const auto response =
-        roundtrip(server.port(), "POST", "/synthesize", body);
+    const auto response = roundtrip(server.port(), "POST", "/synthesize", body);
     ASSERT_TRUE(response.has_value()) << body;
     EXPECT_EQ(response->status, 400) << body;
     EXPECT_NE(response->body.find("at most 64"), std::string::npos)
@@ -285,8 +283,7 @@ TEST(SynthServer, OversizedBodyAnswers413) {
   server.start();
   const std::string body =
       R"({"benchmark": "PCR", "pad": ")" + std::string(128, 'x') + "\"}";
-  const auto response =
-      roundtrip(server.port(), "POST", "/synthesize", body);
+  const auto response = roundtrip(server.port(), "POST", "/synthesize", body);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 413);
 }
