@@ -31,10 +31,8 @@ int main() {
   for (const auto& bench : paper_benchmarks()) {
     const ComparisonRow row = compare_flows(
         bench.name, bench.graph, Allocation(bench.allocation), bench.wash);
-    const ControlEstimate ours =
-        estimate_control_layer(row.ours.routing, row.ours.schedule);
-    const ControlEstimate ba =
-        estimate_control_layer(row.baseline.routing, row.baseline.schedule);
+    const ControlEstimate ours = estimate_control_layer(row.ours.routing);
+    const ControlEstimate ba = estimate_control_layer(row.baseline.routing);
     const MultiplexingEstimate mux_ours =
         estimate_control_multiplexing(row.ours.routing);
     const MultiplexingEstimate mux_ba =

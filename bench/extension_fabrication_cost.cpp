@@ -46,8 +46,7 @@ int used_area_cells(const SynthesisResult& r, const Allocation& alloc) {
 }
 
 CostBreakdown cost_of(const SynthesisResult& r, const Allocation& alloc) {
-  const ControlEstimate control =
-      estimate_control_layer(r.routing, r.schedule);
+  const ControlEstimate control = estimate_control_layer(r.routing);
   const MultiplexingEstimate mux = estimate_control_multiplexing(r.routing);
   const PressureAssignment ports = assign_pressure_ports(r.routing);
   return chip_cost(used_area_cells(r, alloc), r.channel_length_mm,

@@ -62,10 +62,8 @@ int main() {
          format_double(row.ours.channel_wash_time, 1),
          format_double(row.baseline.channel_wash_time, 1)});
 
-    const auto control_ours =
-        estimate_control_layer(row.ours.routing, row.ours.schedule);
-    const auto control_ba =
-        estimate_control_layer(row.baseline.routing, row.baseline.schedule);
+    const auto control_ours = estimate_control_layer(row.ours.routing);
+    const auto control_ba = estimate_control_layer(row.baseline.routing);
     const auto ports_ours = assign_pressure_ports(row.ours.routing);
     const auto ports_ba = assign_pressure_ports(row.baseline.routing);
     const auto dedicated = schedule_dedicated(bench.graph, alloc, bench.wash);

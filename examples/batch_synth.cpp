@@ -152,15 +152,16 @@ int main(int argc, char** argv) {
 
   const Telemetry::Snapshot snap = engine.telemetry().snapshot();
   std::cout << "\nTelemetry: " << snap.jobs_completed << " jobs, "
-            << snap.cache_hits << " cache hits, " << snap.cache_misses
-            << " misses\n  stage walls (s):";
+            << engine.cache().hits() << " cache hits, "
+            << engine.cache().misses() << " misses\n  stage walls (s):";
   const char* separator = " ";
   for (const auto& field : StageTimes::kFields) {
     std::cout << separator << field.key << " "
               << format_double(snap.stage_seconds.*field.member, 3);
     separator = ", ";
   }
-  std::cout << "\n  max queue depth: " << snap.max_queue_depth << "\n";
+  std::cout << "\n  max queue depth: " << engine.pool().max_queue_depth()
+            << "\n";
 
   if (print_json) {
     std::cout << "\n" << engine.telemetry_json(outcomes) << "\n";

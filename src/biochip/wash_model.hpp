@@ -47,9 +47,6 @@ class WashModel {
   /// this to reproduce the paper's integer-second examples exactly.
   void set_override(double d, double seconds);
 
-  /// Removes all overrides.
-  void clear_overrides() { overrides_.clear(); }
-
   std::size_t override_count() const { return overrides_.size(); }
 
   /// Inverse query: diffusion coefficient whose modeled (non-override) wash

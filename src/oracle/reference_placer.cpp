@@ -140,7 +140,7 @@ std::vector<std::pair<Placement, double>> run_sa_restarts_reference(
       build_nets(schedule, wash_model, options.beta, options.gamma);
 
   auto energy = [&](const Placement& p) {
-    return placement_energy(p, allocation, nets, options.compaction_weight);
+    return placement_energy(p, allocation, nets, kCompactionWeight);
   };
   auto propose = [&](const Placement& p,
                      Rng& r) -> std::optional<Placement> {

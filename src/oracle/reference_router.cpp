@@ -269,8 +269,8 @@ RoutingResult route_transports_reference(RoutingGrid& grid,
         if (attempt >= options.max_postpone_steps) {
           throw RoutingError("unroutable transport task (after postponing)");
         }
-        start += options.postpone_step;
-        delay += options.postpone_step;
+        start += kPostponeStep;
+        delay += kPostponeStep;
       }
       if (delay > 0.0) ++result.conflict_postponements;
     } else {

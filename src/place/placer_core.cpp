@@ -7,13 +7,11 @@
 namespace fbmb {
 
 PlacerCore::PlacerCore(const Allocation& allocation, const ChipSpec& spec,
-                       const std::vector<Net>& nets,
-                       double compaction_weight)
+                       const std::vector<Net>& nets)
     : allocation_(&allocation),
       nets_(&nets),
       chip_{0, 0, spec.grid_width, spec.grid_height},
       spacing_(spec.component_spacing),
-      compaction_weight_(compaction_weight),
       n_(static_cast<int>(allocation.size())),
       base_w_(allocation.size()),
       base_h_(allocation.size()),
@@ -81,9 +79,7 @@ double PlacerCore::energy_sum() const {
   for (std::size_t k = 0; k < mdis_.size(); ++k) {
     energy += static_cast<double>(mdis_[k]) * pri_[k];
   }
-  if (compaction_weight_ > 0.0) {
-    energy += compaction_weight_ * static_cast<double>(total_distance_);
-  }
+  energy += kCompactionWeight * static_cast<double>(total_distance_);
   return energy;
 }
 

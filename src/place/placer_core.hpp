@@ -40,6 +40,12 @@
 
 namespace fbmb {
 
+/// Weight of the small all-pairs compaction term added to Eq. 3, so
+/// components with no (or weak) nets do not drift to the chip rim and
+/// stretch channels: energy += kCompactionWeight * total pairwise
+/// Manhattan distance.
+inline constexpr double kCompactionWeight = 0.1;
+
 /// Placement search counters, accumulated across restarts and (in the
 /// runtime engine) across jobs. The reference placer keeps none, mirroring
 /// route_transports_reference.
@@ -135,7 +141,7 @@ class PlacerCore {
   /// `nets` must outlive the core. Net order fixes the energy summation
   /// order and therefore the exact double produced.
   PlacerCore(const Allocation& allocation, const ChipSpec& spec,
-             const std::vector<Net>& nets, double compaction_weight);
+             const std::vector<Net>& nets);
 
   /// Adopts a legal placement: rebuilds centers, per-net distances, the
   /// pairwise-distance total, and the occupancy grid (one full_eval).
@@ -199,7 +205,6 @@ class PlacerCore {
   const std::vector<Net>* nets_;
   Rect chip_;
   int spacing_ = 0;
-  double compaction_weight_ = 0.0;
   int n_ = 0;
 
   std::vector<int> base_w_, base_h_;    // unrotated dims per component id

@@ -116,7 +116,7 @@ std::vector<std::pair<Placement, double>> run_sa_restarts(
       Rng rng(fork_seed(options.seed ^ kSeedDomain,
                         static_cast<std::uint64_t>(restart)));
       Placement initial = random_placement(allocation, spec, rng);
-      PlacerCore core(allocation, spec, nets, options.compaction_weight);
+      PlacerCore core(allocation, spec, nets);
       core.bind(std::move(initial));
       auto [best, sa] = anneal_moves(core, options.sa, rng);
       // Polish the best state visited, not the final one: rebind it.

@@ -28,9 +28,6 @@ struct PlacerOptions {
   SaOptions sa;               ///< T0=10000, Tmin=1.0, alpha=0.9, Imax=150
   double beta = 0.6;          ///< Eq. 4 concurrency weight
   double gamma = 0.4;         ///< Eq. 4 wash-time weight
-  /// Small all-pairs compaction term added to Eq. 3 so components with no
-  /// (or weak) nets do not drift to the chip rim and stretch channels.
-  double compaction_weight = 0.1;
   /// Independent SA restarts (different sub-seeds); the lowest-energy
   /// placement wins. Still deterministic for a fixed `seed`.
   int restarts = 3;

@@ -24,8 +24,6 @@ class TextTable {
   std::string to_string() const;
   std::string to_csv() const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<Align> alignment_;

@@ -19,9 +19,7 @@ int direction(const Point& p, const Point& q) {
 
 }  // namespace
 
-ControlEstimate estimate_control_layer(const RoutingResult& routing,
-                                       const Schedule& schedule) {
-  (void)schedule;
+ControlEstimate estimate_control_layer(const RoutingResult& routing) {
   ControlEstimate est;
 
   // Distinct incident segment directions per cell, over all paths.

@@ -20,7 +20,6 @@
 #pragma once
 
 #include "route/types.hpp"
-#include "schedule/types.hpp"
 
 namespace fbmb {
 
@@ -32,10 +31,9 @@ struct ControlEstimate {
   double switches_per_valve = 0.0;
 };
 
-/// Estimates the control layer for a routed result. `schedule` supplies
-/// the transport the paths belong to (for wash-flush accounting).
-ControlEstimate estimate_control_layer(const RoutingResult& routing,
-                                       const Schedule& schedule);
+/// Estimates the control layer for a routed result. Wash flushes come
+/// from each path's wash_duration.
+ControlEstimate estimate_control_layer(const RoutingResult& routing);
 
 /// Control-line multiplexing estimate (a simplified take on ref. [13]):
 /// valves whose activation sets — the set of transport tasks that pass

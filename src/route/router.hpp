@@ -42,6 +42,9 @@
 
 namespace fbmb {
 
+/// Postponement granularity in seconds when a task must wait.
+inline constexpr double kPostponeStep = 1.0;
+
 /// Sequential routing order (the paper routes in non-decreasing start
 /// time; alternatives are exposed for the ordering ablation).
 enum class RouteOrder {
@@ -59,8 +62,6 @@ struct RouterOptions {
   /// false the search is purely spatial and conflicts are resolved by
   /// postponement.
   bool conflict_aware = true;
-  /// Postponement granularity in seconds when a task must wait.
-  double postpone_step = 1.0;
   /// Give up after this many postponement steps for one task.
   int max_postpone_steps = 100000;
   /// Round cap for the route–retime fixpoint (route_until_consistent).

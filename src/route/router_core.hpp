@@ -181,7 +181,7 @@ class RouterCore {
 
   /// Conflict-aware postponement (Eq. 5 prices a conflicting cell at
   /// +inf, so a task with no feasible path waits): searches at `start`
-  /// and, while no path exists, postpones by postpone_step and tries
+  /// and, while no path exists, postpones by kPostponeStep and tries
   /// again. Advances `start` and `delay` by the postponement, counts each
   /// step, and throws RoutingError once a search at the
   /// max_postpone_steps-th step still fails. An installed probe log is
@@ -218,8 +218,8 @@ class RouterCore {
       if (attempt >= opts_.max_postpone_steps) {
         throw RoutingError("unroutable transport task (after postponing)");
       }
-      start += opts_.postpone_step;
-      delay += opts_.postpone_step;
+      start += kPostponeStep;
+      delay += kPostponeStep;
       ++stats_->postponement_steps;
     }
   }

@@ -24,7 +24,7 @@ struct RouteStats {
   /// Cells an A* search priced +inf for a conflict (Eq. 5); blocked
   /// cells and certificate checks count nothing.
   std::uint64_t feasibility_rejections = 0;
-  /// Every postpone_step increment, whether its retry was searched or
+  /// Every kPostponeStep increment, whether its retry was searched or
   /// certified to fail; the same count a search-every-step loop makes.
   std::uint64_t postponement_steps = 0;
   std::uint64_t distance_fields_built = 0;  ///< heuristic BFS fields built

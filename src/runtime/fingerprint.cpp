@@ -137,7 +137,7 @@ void hash_options(InputHasher& h, const SynthesisOptions& options) {
   h.i64(placer.sa.iterations_per_temperature);
   h.f64(placer.beta);
   h.f64(placer.gamma);
-  h.f64(placer.compaction_weight);
+  h.f64(kCompactionWeight);  // a constant; its slot keeps fingerprints stable
   h.i64(placer.restarts);
   h.u64(placer.seed);
   // placer.restart_executor is execution policy, not an input.
@@ -147,7 +147,7 @@ void hash_options(InputHasher& h, const SynthesisOptions& options) {
   h.boolean(options.router.wash_aware_weights);
   h.u64(static_cast<std::uint64_t>(options.router.order));
   h.boolean(options.router.conflict_aware);
-  h.f64(options.router.postpone_step);
+  h.f64(kPostponeStep);  // a constant; its slot keeps fingerprints stable
   h.i64(options.router.max_postpone_steps);
   h.i64(options.router.max_fixpoint_rounds);
 

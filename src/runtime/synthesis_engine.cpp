@@ -48,7 +48,6 @@ std::vector<JobOutcome> SynthesisEngine::run_batch(
   for (const SynthesisJob& job : jobs) {
     telemetry_.job_submitted();
     futures.push_back(pool_.submit([this, &job] { return execute(job); }));
-    telemetry_.record_queue_depth(pool_.pending());
   }
   std::vector<JobOutcome> outcomes;
   outcomes.reserve(jobs.size());
@@ -89,7 +88,6 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
                                            job.wash, job.options, job.flow);
   if (std::shared_ptr<const CachedResult> entry =
           cache_.find(outcome.fingerprint)) {
-    telemetry_.record_cache_hit();
     TRACE_INSTANT("engine", "cache_hit");
     outcome.result = entry->result;
     outcome.entry = std::move(entry);
@@ -98,7 +96,6 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
     telemetry_.job_finished();
     return outcome;
   }
-  telemetry_.record_cache_miss();
 
   SynthesisOptions options = job.options;
   options.trace_id = trace_id;
@@ -164,6 +161,11 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
   return outcome;
 }
 
+std::string SynthesisEngine::totals_json() const {
+  return Telemetry::to_json(telemetry_.snapshot(), cache_.hits(),
+                            cache_.misses(), pool_.max_queue_depth());
+}
+
 std::string SynthesisEngine::telemetry_json(
     const std::vector<JobOutcome>& outcomes) const {
   std::ostringstream os;
@@ -172,9 +174,7 @@ std::string SynthesisEngine::telemetry_json(
      << ", \"cache_size\": " << cache_.size()
      << ", \"parallel_restarts\": "
      << (options_.parallel_restarts ? "true" : "false")
-     << ", \"max_queue_depth\": " << pool_.max_queue_depth()
-     << "},\n  \"totals\": " << Telemetry::to_json(telemetry_.snapshot())
-     << ",\n  \"jobs\": [";
+     << "},\n  \"totals\": " << totals_json() << ",\n  \"jobs\": [";
   bool first = true;
   for (const JobOutcome& outcome : outcomes) {
     const SynthesisResult& r = outcome.result;

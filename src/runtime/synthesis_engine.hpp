@@ -92,8 +92,13 @@ class SynthesisEngine {
   /// on top (ThreadPool::try_submit + run_job; see src/service).
   ThreadPool& pool() { return pool_; }
 
-  /// Full batch report: engine configuration, aggregate telemetry
-  /// snapshot, and a per-job array with stage walls and cache flags.
+  /// The aggregate totals (/metrics' "engine" object): the telemetry
+  /// snapshot plus the cache's hits and misses and the pool's queue
+  /// high-water, each read from its owner.
+  std::string totals_json() const;
+
+  /// Full batch report: engine configuration, totals_json(), and a per-job
+  /// array with stage walls and cache flags.
   std::string telemetry_json(const std::vector<JobOutcome>& outcomes) const;
 
  private:

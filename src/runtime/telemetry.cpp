@@ -1,6 +1,5 @@
 #include "runtime/telemetry.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "report/json.hpp"
@@ -20,18 +19,10 @@ void Telemetry::record_result(const SynthesisResult& result,
   });
 }
 
-void Telemetry::record_queue_depth(std::uint64_t depth) {
-  update([depth](Snapshot& s) {
-    s.max_queue_depth = std::max(s.max_queue_depth, depth);
-  });
-}
-
 Telemetry::Snapshot Telemetry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return totals_;
 }
-
-void Telemetry::reset() { update([](Snapshot& s) { s = Snapshot{}; }); }
 
 void Telemetry::write_counters(std::ostream& os, const RouteStats& routing,
                                const FlowStats& flow,
@@ -43,18 +34,20 @@ void Telemetry::write_counters(std::ostream& os, const RouteStats& routing,
      << "}, \"scheduling\": {" << json_fields(scheduling) << "}";
 }
 
-std::string Telemetry::to_json(const Snapshot& s) {
+std::string Telemetry::to_json(const Snapshot& s, std::uint64_t cache_hits,
+                               std::uint64_t cache_misses,
+                               std::uint64_t max_queue_depth) {
   std::ostringstream os;
   os << "{\"stages\": {" << json_fields(s.stage_seconds, json_number)
      << ", \"total\": " << json_number(s.stage_seconds.total())
-     << "}, \"cache\": {\"hits\": " << s.cache_hits
-     << ", \"misses\": " << s.cache_misses
+     << "}, \"cache\": {\"hits\": " << cache_hits
+     << ", \"misses\": " << cache_misses
      << "}, \"jobs\": {\"submitted\": " << s.jobs_submitted
      << ", \"completed\": " << s.jobs_completed
      << ", \"cancelled\": " << s.jobs_cancelled
      << ", \"in_flight\": " << s.jobs_in_flight << "}, ";
   write_counters(os, s.routing, s.flow, s.placement, s.scheduling);
-  os << ", \"max_queue_depth\": " << s.max_queue_depth
+  os << ", \"max_queue_depth\": " << max_queue_depth
      << ", \"synthesis_seconds\": " << json_number(s.synthesis_seconds) << "}";
   return os.str();
 }

@@ -3,14 +3,20 @@
 // Telemetry aggregates, across every job an engine executes: wall time per
 // synthesis stage (schedule / refine / place / grid_build / route /
 // retime), the four per-result counter structs (RouteStats, FlowStats,
-// PlaceStats, SchedStats), result-cache hits and misses, jobs submitted /
-// completed / cancelled / in flight, and the work queue's high-water
-// depth. The totals are one plain Snapshot behind a mutex: job workers
+// PlaceStats, SchedStats) and jobs submitted / completed / cancelled / in
+// flight. The totals are one plain Snapshot behind a mutex: job workers
 // record a few times per job, so the lock is uncontended in practice, and
 // snapshot() copies a view that is consistent across counters. Stages and
 // counters are summed and written by looping over each struct's field
 // table (util/fields.hpp), so a new counter is one member plus one table
 // row.
+//
+// RouteStats is summed from each result, so it counts only the winning
+// placement candidate's route–retime fixpoint; flow.transports_rerouted
+// counts the routing work of every candidate.
+//
+// Cache hits and misses (ResultCache) and the queue high-water
+// (ThreadPool) are kept by their owners; to_json takes them as arguments.
 
 #pragma once
 
@@ -29,24 +35,20 @@ class Telemetry {
   /// Immutable view of all counters at one instant.
   struct Snapshot {
     StageTimes stage_seconds;       ///< summed over all completed jobs
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
     std::uint64_t jobs_submitted = 0;
     std::uint64_t jobs_completed = 0;
     std::uint64_t jobs_cancelled = 0;  ///< finished via SynthesisCancelled
     std::uint64_t jobs_in_flight = 0;
-    std::uint64_t max_queue_depth = 0;
     double synthesis_seconds = 0.0;  ///< summed job wall time (cache misses)
-    RouteStats routing;              ///< summed router counters (cache misses)
-    /// Summed route–retime fixpoint reuse counters (cache misses). Only
-    /// the aggregate counters are tracked; per-round details stay per-job.
+    /// Summed router counters (cache misses): each job's winning
+    /// candidate only, over every round of its fixpoint.
+    RouteStats routing;
+    /// Summed route–retime fixpoint reuse counters (cache misses), over
+    /// every placement candidate's fixpoint.
     FlowStats flow;
     PlaceStats placement;            ///< summed placer counters (cache misses)
     SchedStats scheduling;           ///< summed scheduler counters (cache misses)
   };
-
-  void record_cache_hit() { update([](Snapshot& s) { ++s.cache_hits; }); }
-  void record_cache_miss() { update([](Snapshot& s) { ++s.cache_misses; }); }
 
   void job_submitted() { update([](Snapshot& s) { ++s.jobs_submitted; }); }
   void job_started() { update([](Snapshot& s) { ++s.jobs_in_flight; }); }
@@ -64,15 +66,15 @@ class Telemetry {
   /// seconds, its four counter structs and its wall time.
   void record_result(const SynthesisResult& result, double wall_seconds);
 
-  void record_queue_depth(std::uint64_t depth);
-
   Snapshot snapshot() const;
 
-  /// Resets every counter to zero (e.g. between batch passes).
-  void reset();
-
-  /// The snapshot as a JSON object (schema documented in docs/RUNTIME.md).
-  static std::string to_json(const Snapshot& snapshot);
+  /// The snapshot as a JSON object (schema documented in docs/RUNTIME.md),
+  /// with the cache's hit and miss counts and the pool's queue high-water
+  /// in their places.
+  static std::string to_json(const Snapshot& snapshot,
+                             std::uint64_t cache_hits,
+                             std::uint64_t cache_misses,
+                             std::uint64_t max_queue_depth);
 
   /// Writes `"routing": {...}, "flow": {...}, "placement": {...},
   /// "scheduling": {...}`, the four counter objects that to_json's totals

@@ -96,13 +96,14 @@ void ServiceMetrics::count_response(int status) {
   }
 }
 
-std::string ServiceMetrics::to_json(std::uint64_t queue_depth,
+std::string ServiceMetrics::to_json(std::uint64_t in_flight,
+                                    std::uint64_t queue_depth,
                                     bool draining) const {
   std::ostringstream os;
   os << "{\"connections\": {\"accepted\": " << connections_accepted.load()
      << ", \"rejected\": " << connections_rejected.load()
      << "}, \"requests\": {\"received\": " << requests_received.load()
-     << ", \"in_flight\": " << requests_in_flight.load()
+     << ", \"in_flight\": " << in_flight
      << ", \"queue_depth\": " << queue_depth
      << "}, \"responses\": {\"ok\": " << responses_ok.load()
      << ", \"bad_request\": " << responses_bad_request.load()
@@ -112,9 +113,7 @@ std::string ServiceMetrics::to_json(std::uint64_t queue_depth,
      << ", \"error\": " << responses_error.load()
      << ", \"cancelled\": " << responses_cancelled.load()
      << ", \"timed_out\": " << responses_timed_out.load()
-     << "}, \"latency\": "
-     << LatencyHistogram::to_json(synthesize_latency.snapshot())
-     << ", \"endpoints\": {\"synthesize\": "
+     << "}, \"endpoints\": {\"synthesize\": "
      << LatencyHistogram::to_json(synthesize_latency.snapshot())
      << ", \"healthz\": " << LatencyHistogram::to_json(healthz_latency.snapshot())
      << ", \"metrics\": " << LatencyHistogram::to_json(metrics_latency.snapshot())

@@ -47,12 +47,11 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_ns_{0};
 };
 
-/// One instance per server; every field is monotonic except in_flight.
+/// One instance per server; every field is monotonic.
 struct ServiceMetrics {
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> connections_rejected{0};  ///< over the cap
   std::atomic<std::uint64_t> requests_received{0};
-  std::atomic<std::uint64_t> requests_in_flight{0};  ///< gauge
 
   std::atomic<std::uint64_t> responses_ok{0};            ///< 200
   std::atomic<std::uint64_t> responses_bad_request{0};   ///< 400
@@ -64,7 +63,6 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> responses_timed_out{0};     ///< 504
 
   /// Per-endpoint handler latency (dispatch entry to response ready).
-  /// synthesize_latency doubles as the legacy top-level "latency" object.
   LatencyHistogram synthesize_latency;
   LatencyHistogram healthz_latency;
   LatencyHistogram metrics_latency;
@@ -73,9 +71,11 @@ struct ServiceMetrics {
   /// Buckets a just-sent response status into the counters above.
   void count_response(int status);
 
-  /// The "service" JSON object (schema in docs/SERVICE.md); queue depth
-  /// and draining are owned by the server and injected here.
-  std::string to_json(std::uint64_t queue_depth, bool draining) const;
+  /// The "service" JSON object (schema in docs/SERVICE.md). Requests in
+  /// flight, queue depth and draining are owned by the server and its
+  /// pool and injected here.
+  std::string to_json(std::uint64_t in_flight, std::uint64_t queue_depth,
+                      bool draining) const;
 };
 
 }  // namespace fbmb::service

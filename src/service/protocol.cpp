@@ -121,10 +121,8 @@ std::optional<SynthesizeRequest> parse_synthesize_request(
       req.job.flow = FlowPreset::kDcsa;
     } else if (which == "baseline") {
       req.job.flow = FlowPreset::kBaseline;
-    } else if (which == "custom") {
-      req.job.flow = FlowPreset::kCustom;
     } else {
-      error = "\"flow\" must be dcsa, baseline or custom";
+      error = "\"flow\" must be dcsa or baseline";
       return std::nullopt;
     }
   }

@@ -102,12 +102,7 @@ void SynthServer::shutdown() {
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(options_.drain_budget_ms);
   while (Clock::now() < deadline) {
-    bool idle = active_connections_.load() == 0;
-    if (idle) {
-      std::lock_guard<std::mutex> lock(tokens_mutex_);
-      idle = active_tokens_.empty();
-    }
-    if (idle) break;
+    if (active_connections_.load() == 0 && active_requests() == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
@@ -125,11 +120,17 @@ void SynthServer::shutdown() {
   }
 }
 
+std::size_t SynthServer::active_requests() const {
+  std::lock_guard<std::mutex> lock(tokens_mutex_);
+  return active_tokens_.size();
+}
+
 std::string SynthServer::metrics_json() const {
   std::string out = "{\"service\": ";
-  out += metrics_.to_json(engine_.pool().pending(), draining_.load());
+  out += metrics_.to_json(active_requests(), engine_.pool().pending(),
+                          draining_.load());
   out += ", \"engine\": ";
-  out += Telemetry::to_json(engine_.telemetry().snapshot());
+  out += engine_.totals_json();
   out += "}";
   return out;
 }
@@ -321,7 +322,6 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
     return make_error(429, "synthesis queue is full, retry later");
   }
 
-  metrics_.requests_in_flight.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(tokens_mutex_);
     active_tokens_.insert(token);
@@ -365,7 +365,6 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
     std::lock_guard<std::mutex> lock(tokens_mutex_);
     active_tokens_.erase(token);
   }
-  metrics_.requests_in_flight.fetch_sub(1);
   metrics_.synthesize_latency.record(seconds_since(start));
   return response;
 }

@@ -111,6 +111,8 @@ class SynthServer {
   HttpResponse handle_synthesize(const HttpRequest& request, Socket& conn);
   void reap_finished_connections(bool join_all);
   void stall_cancellably(int stall_ms, CancellationToken& token) const;
+  /// Requests admitted and not yet answered: active_tokens_.size().
+  std::size_t active_requests() const;
 
   ServerOptions options_;
   SynthesisEngine engine_;
@@ -124,7 +126,7 @@ class SynthServer {
 
   /// Tokens of requests currently waiting on a synthesis future; a
   /// draining server cancels them all once the budget is spent.
-  std::mutex tokens_mutex_;
+  mutable std::mutex tokens_mutex_;
   std::set<std::shared_ptr<CancellationToken>> active_tokens_;
 
   std::mutex shutdown_mutex_;

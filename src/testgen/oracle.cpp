@@ -84,15 +84,15 @@ bool inject_schedule_fault(const SequencingGraph& graph, Schedule& schedule) {
 
 /// kRouteDelayOffByOne: bump the first nonzero delay (or delay slot 0) by
 /// one postpone step. Returns false when the schedule has no transports.
-bool inject_route_fault(RoutingResult& routing, double postpone_step) {
+bool inject_route_fault(RoutingResult& routing) {
   if (routing.delays.empty()) return false;
   for (double& delay : routing.delays) {
     if (delay > 0.0) {
-      delay += postpone_step;
+      delay += kPostponeStep;
       return true;
     }
   }
-  routing.delays.front() += postpone_step;
+  routing.delays.front() += kPostponeStep;
   return true;
 }
 
@@ -220,7 +220,7 @@ OracleReport run_differential_oracle(const Scenario& scenario,
   });
   if (!errors_agree("router", core_route, ref_route, report)) return report;
   if (options.inject == FaultInjection::kRouteDelayOffByOne) {
-    inject_route_fault(*core_route.value, router_options.postpone_step);
+    inject_route_fault(*core_route.value);
   }
   if (!identical_routing(*core_route.value, *ref_route.value)) {
     report.fail("router: core and reference routing results diverge");

@@ -20,7 +20,7 @@ RoutedPath straight_path(int from, int to, std::vector<Point> cells,
 }
 
 TEST(ControlEstimate, EmptyRouting) {
-  const ControlEstimate est = estimate_control_layer({}, {});
+  const ControlEstimate est = estimate_control_layer({});
   EXPECT_EQ(est.valve_count, 0);
   EXPECT_EQ(est.switching_count, 0);
   EXPECT_DOUBLE_EQ(est.switches_per_valve, 0.0);
@@ -29,7 +29,7 @@ TEST(ControlEstimate, EmptyRouting) {
 TEST(ControlEstimate, StraightPathHasNoJunctions) {
   RoutingResult routing;
   routing.paths = {straight_path(0, 1, {{0, 0}, {1, 0}, {2, 0}, {3, 0}})};
-  const ControlEstimate est = estimate_control_layer(routing, {});
+  const ControlEstimate est = estimate_control_layer(routing);
   EXPECT_EQ(est.junction_cells, 0);
   EXPECT_EQ(est.port_valves, 2);       // the two port stubs
   EXPECT_EQ(est.valve_count, 2);
@@ -40,7 +40,7 @@ TEST(ControlEstimate, StraightPathHasNoJunctions) {
 TEST(ControlEstimate, BendIsNotAJunction) {
   RoutingResult routing;
   routing.paths = {straight_path(0, 1, {{0, 0}, {1, 0}, {1, 1}})};
-  const ControlEstimate est = estimate_control_layer(routing, {});
+  const ControlEstimate est = estimate_control_layer(routing);
   EXPECT_EQ(est.junction_cells, 0);  // corner cell has 2 directions
 }
 
@@ -51,7 +51,7 @@ TEST(ControlEstimate, TJunctionDetected) {
       straight_path(0, 1, {{0, 0}, {1, 0}, {2, 0}}),
       straight_path(2, 1, {{1, 1}, {1, 0}, {2, 0}}),
   };
-  const ControlEstimate est = estimate_control_layer(routing, {});
+  const ControlEstimate est = estimate_control_layer(routing);
   EXPECT_EQ(est.junction_cells, 1);  // (1,0): left, right, up
   // 3 junction valves + port stubs.
   EXPECT_GE(est.valve_count, 3 + 3);
@@ -61,8 +61,8 @@ TEST(ControlEstimate, WashFlushDoublesPathSwitching) {
   RoutingResult clean, washed;
   clean.paths = {straight_path(0, 1, {{0, 0}, {1, 0}})};
   washed.paths = {straight_path(0, 1, {{0, 0}, {1, 0}}, /*wash=*/2.0)};
-  const auto a = estimate_control_layer(clean, {});
-  const auto b = estimate_control_layer(washed, {});
+  const auto a = estimate_control_layer(clean);
+  const auto b = estimate_control_layer(washed);
   EXPECT_EQ(b.switching_count, 2 * a.switching_count);
 }
 
@@ -72,7 +72,7 @@ TEST(ControlEstimate, SharedPortStubCountedOnce) {
       straight_path(0, 1, {{0, 0}, {1, 0}}),
       straight_path(0, 1, {{0, 0}, {1, 0}}),  // identical route
   };
-  const ControlEstimate est = estimate_control_layer(routing, {});
+  const ControlEstimate est = estimate_control_layer(routing);
   EXPECT_EQ(est.port_valves, 2);  // same stubs, deduplicated
   // But both passes switch: 2 tasks * 2 valves * 2 events.
   EXPECT_EQ(est.switching_count, 8);
@@ -123,7 +123,7 @@ TEST(ControlEstimate, RealFlowsProducePlausibleNumbers) {
   const auto bench = make_cpa();
   const Allocation alloc(bench.allocation);
   const auto ours = synthesize_dcsa(bench.graph, alloc, bench.wash);
-  const auto est = estimate_control_layer(ours.routing, ours.schedule);
+  const auto est = estimate_control_layer(ours.routing);
   EXPECT_GT(est.valve_count, 0);
   EXPECT_GT(est.switching_count, 0);
   EXPECT_GT(est.switches_per_valve, 0.0);

@@ -60,8 +60,8 @@ void run_benchmark(const Benchmark& bench) {
     // Bitwise: the core's incremental energy bookkeeping must reproduce
     // the full recompute exactly, or accept decisions would diverge.
     EXPECT_EQ(
-        placement_energy(core[r], alloc, nets, placer.compaction_weight),
-        placement_energy(ref[r], alloc, nets, placer.compaction_weight));
+        placement_energy(core[r], alloc, nets, kCompactionWeight),
+        placement_energy(ref[r], alloc, nets, kCompactionWeight));
     EXPECT_TRUE(core[r].is_legal(alloc, chip));
   }
 

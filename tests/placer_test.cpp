@@ -213,9 +213,8 @@ TEST(SaPlacer, BeatsRandomPlacementOnEnergy) {
   const Placement random = random_placement(p.alloc, p.chip, rng);
   const Placement optimized =
       place_components(p.alloc, p.schedule, p.bench.wash, p.chip, opts);
-  EXPECT_LE(placement_energy(optimized, p.alloc, nets,
-                             opts.compaction_weight),
-            placement_energy(random, p.alloc, nets, opts.compaction_weight));
+  EXPECT_LE(placement_energy(optimized, p.alloc, nets, kCompactionWeight),
+            placement_energy(random, p.alloc, nets, kCompactionWeight));
 }
 
 TEST(SaPlacer, RequiresFixedGrid) {

@@ -106,8 +106,6 @@ TEST(SynthesisEngine, SecondPassHitsTheCache) {
   EXPECT_EQ(engine.cache().misses(), jobs.size());
 
   const auto snapshot = engine.telemetry().snapshot();
-  EXPECT_EQ(snapshot.cache_hits, jobs.size());
-  EXPECT_EQ(snapshot.cache_misses, jobs.size());
   EXPECT_EQ(snapshot.jobs_completed, 2 * jobs.size());
   EXPECT_EQ(snapshot.jobs_in_flight, 0u);
   EXPECT_GT(snapshot.stage_seconds.total(), 0.0);
@@ -208,8 +206,6 @@ TEST(Telemetry, ToJsonMatchesGoldenBytes) {
   s.stage_seconds.grid_build = 0.5;
   s.stage_seconds.route = 0.625;
   s.stage_seconds.retime = 0.75;
-  s.cache_hits = 1;
-  s.cache_misses = 2;
   s.jobs_submitted = 3;
   s.jobs_completed = 4;
   s.jobs_cancelled = 5;
@@ -236,9 +232,9 @@ TEST(Telemetry, ToJsonMatchesGoldenBytes) {
   s.scheduling.binding_probes = 26;
   s.scheduling.case1_bindings = 27;
   s.scheduling.case2_bindings = 28;
-  s.max_queue_depth = 29;
   s.synthesis_seconds = 0.875;
-  EXPECT_EQ(Telemetry::to_json(s),
+  EXPECT_EQ(Telemetry::to_json(s, /*cache_hits=*/1, /*cache_misses=*/2,
+                               /*max_queue_depth=*/29),
             R"({"stages": {"schedule": 0.125, "refine": 0.25, )"
             R"("place": 0.375, "grid_build": 0.5, "route": 0.625, )"
             R"("retime": 0.75, "total": 2.625}, )"
@@ -339,6 +335,10 @@ TEST(SynthesisEngine, StageSpansCoverTheFlow) {
   EXPECT_GT(st.route, 0.0);
   EXPECT_GT(st.total(), 0.0);
   EXPECT_LE(st.total(), outcome.result.cpu_seconds + 1e-6);
+  // The routing totals hold the winning candidate's fixpoint only; the
+  // flow totals count every candidate's rerouted transports.
+  const Telemetry::Snapshot snap = engine.telemetry().snapshot();
+  EXPECT_LT(snap.routing.tasks_routed, snap.flow.transports_rerouted);
 }
 
 

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "runtime/result_cache.hpp"
+#include "runtime/result_io.hpp"
 #include "service/http.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
@@ -47,6 +48,17 @@ std::optional<HttpResponseMessage> roundtrip(std::uint16_t port,
   return parser.message();
 }
 
+/// service.requests.in_flight of the server's /metrics document.
+double metrics_in_flight(const SynthServer& server) {
+  const auto root = jsonio::parse(server.metrics_json());
+  const jsonio::Value* service = root ? root->find("service") : nullptr;
+  const jsonio::Value* requests =
+      service != nullptr ? service->find("requests") : nullptr;
+  const jsonio::Value* in_flight =
+      requests != nullptr ? requests->find("in_flight") : nullptr;
+  return in_flight != nullptr ? in_flight->num : 0.0;
+}
+
 TEST(SynthServerDrain, CancelsInFlightJobAnswersItAndSpillsCache) {
   const std::string spill =
       testing::TempDir() + "service_drain_spill.json";
@@ -75,7 +87,7 @@ TEST(SynthServerDrain, CancelsInFlightJobAnswersItAndSpillsCache) {
     stalled = roundtrip(port, "POST", "/synthesize",
                         R"({"benchmark": "PCR", "stall_ms": 5000})");
   });
-  while (server.metrics().requests_in_flight.load() == 0) {
+  while (metrics_in_flight(server) == 0.0) {
     std::this_thread::sleep_for(5ms);
   }
 

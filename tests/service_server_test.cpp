@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <thread>
@@ -51,19 +52,25 @@ std::optional<HttpResponseMessage> roundtrip(std::uint16_t port,
   return parser.message();
 }
 
-/// Reads service.responses.<key> out of a /metrics document.
-std::uint64_t response_counter(std::uint16_t port, const std::string& key) {
+/// Reads the number at `path` (member names from the root) out of a
+/// /metrics document; 0 when a member is missing.
+std::uint64_t metrics_value(std::uint16_t port,
+                            std::initializer_list<const char*> path) {
   const auto metrics = roundtrip(port, "GET", "/metrics");
   if (!metrics) return 0;
   const auto root = jsonio::parse(metrics->body);
   if (!root) return 0;
-  const jsonio::Value* service = root->find("service");
-  if (service == nullptr) return 0;
-  const jsonio::Value* responses = service->find("responses");
-  if (responses == nullptr) return 0;
-  const jsonio::Value* value = responses->find(key);
-  if (value == nullptr) return 0;
+  const jsonio::Value* value = &*root;
+  for (const char* key : path) {
+    value = value->find(key);
+    if (value == nullptr) return 0;
+  }
   return static_cast<std::uint64_t>(value->num);
+}
+
+/// Reads service.responses.<key> out of a /metrics document.
+std::uint64_t response_counter(std::uint16_t port, const std::string& key) {
+  return metrics_value(port, {"service", "responses", key.c_str()});
 }
 
 std::string strip_timing(std::string json) {
@@ -205,6 +212,7 @@ TEST(SynthServer, RejectsBadRequestBodies) {
            R"({"benchmark": "PCR", "assay": "x"})",   // both workloads
            R"({"benchmark": "NoSuchAssay"})",         // unknown name
            R"({"benchmark": "PCR", "flow": "hm"})",   // bad flow
+           R"({"benchmark": "PCR", "flow": "custom"})",  // library only
            R"({"benchmark": "PCR", "seed": -1})",     // bad seed
            R"({"benchmark": "PCR", "restarts": 0})",  // bad restarts
            R"({"assay": "op a mix 5"})",              // assay, no allocate
@@ -366,6 +374,10 @@ TEST(SynthServer, FullQueueAnswers429WithRetryAfter) {
   EXPECT_GE(rejected, 1);
   EXPECT_EQ(response_counter(server.port(), "rejected"),
             static_cast<std::uint64_t>(rejected));
+  // The pool's high-water saw the queued job; every request has left.
+  EXPECT_GE(metrics_value(server.port(), {"engine", "max_queue_depth"}), 1u);
+  EXPECT_EQ(metrics_value(server.port(), {"service", "requests", "in_flight"}),
+            0u);
 }
 
 TEST(SynthServer, ClientDisconnectCancelsTheJob) {
@@ -550,7 +562,8 @@ TEST(SynthServer, MetricsReportsPerEndpointHistograms) {
   ASSERT_TRUE(root.has_value());
   const jsonio::Value* service = root->find("service");
   ASSERT_NE(service, nullptr);
-  EXPECT_NE(service->find("latency"), nullptr);
+  // The synthesize histogram is written once, under endpoints.
+  EXPECT_EQ(service->find("latency"), nullptr);
   const jsonio::Value* endpoints = service->find("endpoints");
   ASSERT_NE(endpoints, nullptr);
   for (const char* name : {"synthesize", "healthz", "metrics", "trace"}) {
@@ -562,6 +575,15 @@ TEST(SynthServer, MetricsReportsPerEndpointHistograms) {
     }
     EXPECT_GE(ep->find("count")->num, 1.0) << name;
   }
+  // The engine's cache counts are the cache's own.
+  const jsonio::Value* engine = root->find("engine");
+  ASSERT_NE(engine, nullptr);
+  const jsonio::Value* cache = engine->find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->find("hits")->num,
+            static_cast<double>(server.engine().cache().hits()));
+  EXPECT_EQ(cache->find("misses")->num,
+            static_cast<double>(server.engine().cache().misses()));
 }
 
 }  // namespace
