@@ -53,8 +53,8 @@ int main() {
                    Align::kRight, Align::kRight});
 
   for (std::size_t i = 0; i < tc_values.size(); ++i) {
-    const SynthesisResult& ours = outcomes[2 * i].result;
-    const SynthesisResult& ba = outcomes[2 * i + 1].result;
+    const SynthesisResult& ours = outcomes[2 * i].entry->result;
+    const SynthesisResult& ba = outcomes[2 * i + 1].entry->result;
     table.add_row(
         {format_double(tc_values[i], 1),
          format_double(ours.completion_time, 1),

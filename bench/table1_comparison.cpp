@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
     row.benchmark = bench.name;
     row.operation_count = static_cast<int>(bench.graph.operation_count());
     row.allocation = bench.allocation;
-    row.ours = outcomes[2 * b].result;
-    row.baseline = outcomes[2 * b + 1].result;
+    row.ours = outcomes[2 * b].entry->result;
+    row.baseline = outcomes[2 * b + 1].entry->result;
     table.add_row({row.benchmark, std::to_string(row.operation_count),
                    row.allocation.to_string(),
                    format_double(row.ours.completion_time, 1),

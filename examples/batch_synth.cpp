@@ -117,9 +117,11 @@ int main(int argc, char** argv) {
                     {Align::kLeft, Align::kRight, Align::kRight,
                      Align::kRight, Align::kRight, Align::kLeft});
     for (const JobOutcome& out : outcomes) {
-      table.add_row({out.name, format_double(out.result.completion_time, 1),
-                     format_double(out.result.utilization * 100.0, 1),
-                     format_double(out.result.channel_length_mm, 0),
+      // A hit leaves out.result empty; every outcome's entry holds it.
+      const SynthesisResult& result = out.entry->result;
+      table.add_row({out.name, format_double(result.completion_time, 1),
+                     format_double(result.utilization * 100.0, 1),
+                     format_double(result.channel_length_mm, 0),
                      format_double(out.wall_seconds, 4),
                      out.cache_hit ? "hit" : "miss"});
     }
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const SynthesisResult serial = synthesize_dcsa(
           jobs[i].graph, jobs[i].allocation, jobs[i].wash, jobs[i].options);
-      const SynthesisResult& batch = outcomes[i].result;
+      const SynthesisResult& batch = outcomes[i].entry->result;
       if (serial.completion_time != batch.completion_time ||
           serial.utilization != batch.utilization ||
           serial.channel_length_mm != batch.channel_length_mm) {

@@ -8,7 +8,8 @@ to the direct library result, the client-side p99 latency must stay under
 --service-p99 ms, the overall error rate under --service-error-rate, and
 the report must carry the server-side per-endpoint latency histograms
 (server_endpoints, scraped from /metrics) with derived percentiles for
-every endpoint and at least one recorded synthesize request.
+every endpoint, none above that endpoint's max_ms, and at least one
+recorded synthesize request.
 
 Gates the tracing-overhead report written by trace_overhead (--json-out)
 when given via --trace FILE: traced and untraced runs must produce
@@ -119,11 +120,23 @@ def check_service(path, p99_ceiling_ms, error_rate_ceiling):
                     f"{path}: server_endpoints.{name} is missing"
                 )
                 continue
-            for field in ("count", "p50_ms", "p90_ms", "p99_ms"):
+            for field in ("count", "p50_ms", "p90_ms", "p99_ms", "max_ms"):
                 if not isinstance(endpoint.get(field), (int, float)):
                     errors.append(
                         f"{path}: server_endpoints.{name}.{field} is "
                         "missing or not a number"
+                    )
+            # A percentile is a bucket bound clamped to the exact max; one
+            # above the max is a histogram that reports the bucket instead.
+            max_ms = endpoint.get("max_ms")
+            for field in ("p50_ms", "p90_ms", "p99_ms"):
+                value = endpoint.get(field)
+                if (isinstance(value, (int, float))
+                        and isinstance(max_ms, (int, float))
+                        and value > max_ms):
+                    errors.append(
+                        f"{path}: server_endpoints.{name}.{field} "
+                        f"{value} exceeds max_ms {max_ms}"
                     )
             if name == "synthesize" and not endpoint.get("count"):
                 errors.append(
@@ -411,6 +424,16 @@ def self_test():
         "--service",
         1,
         ["missing latency_ms.p99", "missing error_rate"],
+    )
+    case(
+        "endpoint percentile above its max fails",
+        edited(good_service,
+               lambda d: d["service"]["server_endpoints"]["healthz"].update(
+                   p50_ms=0.1, max_ms=0.0016)),
+        "--service",
+        1,
+        ["server_endpoints.healthz.p50_ms 0.1 exceeds max_ms 0.0016",
+         "server_endpoints.healthz.p90_ms 2.0 exceeds max_ms 0.0016"],
     )
     case(
         "service without endpoint histograms fails",

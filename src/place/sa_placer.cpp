@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "place/placer_core.hpp"
+#include "trace/trace.hpp"
 #include "util/logging.hpp"
 
 namespace fbmb {
@@ -113,6 +114,7 @@ std::vector<std::pair<Placement, double>> run_sa_restarts(
   tasks.reserve(static_cast<std::size_t>(restarts));
   for (int restart = 0; restart < restarts; ++restart) {
     tasks.push_back([&, restart] {
+      TRACE_SPAN("place", "restart");
       Rng rng(fork_seed(options.seed ^ kSeedDomain,
                         static_cast<std::uint64_t>(restart)));
       Placement initial = random_placement(allocation, spec, rng);

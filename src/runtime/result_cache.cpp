@@ -22,11 +22,12 @@ const std::string& CachedResult::json() const {
 ResultCache::ResultCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-std::shared_ptr<const CachedResult> ResultCache::find(const Fingerprint& key) {
+std::shared_ptr<const CachedResult> ResultCache::find(const Fingerprint& key,
+                                                      bool count_miss) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
+    if (count_miss) ++misses_;
     return nullptr;
   }
   ++hits_;

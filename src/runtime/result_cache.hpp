@@ -53,9 +53,13 @@ class ResultCache {
   /// Keeps at most `capacity` results (>= 1).
   explicit ResultCache(std::size_t capacity = 128);
 
-  /// Returns the entry and refreshes its recency, or null. Counts a hit
-  /// or a miss. Under the lock this copies only a pointer.
-  std::shared_ptr<const CachedResult> find(const Fingerprint& key);
+  /// Returns the entry and refreshes its recency, or null. Counts a hit,
+  /// and a miss unless `count_miss` is false: a caller that will look
+  /// again before it computes the result (the service's hit path) leaves
+  /// the miss to that second look. Under the lock this copies only a
+  /// pointer.
+  std::shared_ptr<const CachedResult> find(const Fingerprint& key,
+                                           bool count_miss = true);
 
   /// find(key)'s result as a copy, or nullopt.
   std::optional<SynthesisResult> lookup(const Fingerprint& key);

@@ -20,6 +20,15 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The trace id a job's events carry: the caller's (e.g. a service
+/// request id), or a fresh one when tracing is on.
+std::uint64_t job_trace_id(const SynthesisJob& job) {
+  if (job.options.trace_id != 0 || !trace::enabled()) {
+    return job.options.trace_id;
+  }
+  return trace::TraceRecorder::instance().next_trace_id();
+}
+
 /// Restart/route tasks run on shared pool workers whose thread-local
 /// trace id belongs to whatever job they last served; re-establish this
 /// job's id around each task so its events stay attributable.
@@ -46,8 +55,7 @@ std::vector<JobOutcome> SynthesisEngine::run_batch(
   std::vector<std::future<JobOutcome>> futures;
   futures.reserve(jobs.size());
   for (const SynthesisJob& job : jobs) {
-    telemetry_.job_submitted();
-    futures.push_back(pool_.submit([this, &job] { return execute(job); }));
+    futures.push_back(pool_.submit([this, &job] { return run_job(job); }));
   }
   std::vector<JobOutcome> outcomes;
   outcomes.reserve(jobs.size());
@@ -65,38 +73,16 @@ std::vector<JobOutcome> SynthesisEngine::run_batch(
 }
 
 JobOutcome SynthesisEngine::run_job(const SynthesisJob& job) {
-  telemetry_.job_submitted();
-  return execute(job);
-}
-
-JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
-  telemetry_.job_started();
   // Every event the job emits — on this thread or on pool workers running
-  // its restart/route tasks — carries one trace id: the caller's (e.g. a
-  // service request id) or a fresh one when tracing is on.
-  std::uint64_t trace_id = job.options.trace_id;
-  if (trace_id == 0 && trace::enabled()) {
-    trace_id = trace::TraceRecorder::instance().next_trace_id();
-  }
+  // its restart/route tasks — carries one trace id.
+  const std::uint64_t trace_id = job_trace_id(job);
   trace::TraceIdScope trace_scope(trace_id);
   TRACE_SPAN("engine", "job");
   const auto t0 = Clock::now();
-  JobOutcome outcome;
-  outcome.name = job.name;
-  outcome.trace_id = trace_id;
-  outcome.fingerprint = fingerprint_inputs(job.graph, job.allocation,
-                                           job.wash, job.options, job.flow);
-  if (std::shared_ptr<const CachedResult> entry =
-          cache_.find(outcome.fingerprint)) {
-    TRACE_INSTANT("engine", "cache_hit");
-    outcome.result = entry->result;
-    outcome.entry = std::move(entry);
-    outcome.cache_hit = true;
-    outcome.wall_seconds = seconds_since(t0);
-    telemetry_.job_finished();
-    return outcome;
-  }
+  JobOutcome outcome = probe(job, trace_id, /*count_miss=*/true);
+  if (outcome.cache_hit) return outcome;
 
+  telemetry_.job_started();
   SynthesisOptions options = job.options;
   options.trace_id = trace_id;
   if (job.cancel) {
@@ -154,10 +140,51 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
     throw;
   }
 
-  outcome.entry = cache_.insert(outcome.fingerprint, outcome.result);
+  {
+    TRACE_SPAN("engine", "cache_insert");
+    outcome.entry = cache_.insert(outcome.fingerprint, outcome.result);
+  }
   outcome.wall_seconds = seconds_since(t0);
   telemetry_.record_result(outcome.result, outcome.wall_seconds);
   telemetry_.job_finished();
+  return outcome;
+}
+
+std::optional<JobOutcome> SynthesisEngine::find_cached(
+    const SynthesisJob& job) {
+  const std::uint64_t trace_id = job_trace_id(job);
+  trace::TraceIdScope trace_scope(trace_id);
+  trace::SpanGuard job_span("engine", "job");
+  JobOutcome outcome = probe(job, trace_id, /*count_miss=*/false);
+  if (!outcome.cache_hit) {
+    // Not a job yet: its span opens when run_job runs it.
+    job_span.dismiss();
+    return std::nullopt;
+  }
+  return outcome;
+}
+
+JobOutcome SynthesisEngine::probe(const SynthesisJob& job,
+                                  std::uint64_t trace_id, bool count_miss) {
+  const auto t0 = Clock::now();
+  JobOutcome outcome;
+  outcome.name = job.name;
+  outcome.trace_id = trace_id;
+  {
+    TRACE_SPAN("engine", "fingerprint");
+    outcome.fingerprint = fingerprint_inputs(job.graph, job.allocation,
+                                             job.wash, job.options, job.flow);
+  }
+  {
+    TRACE_SPAN("engine", "cache_find");
+    outcome.entry = cache_.find(outcome.fingerprint, count_miss);
+  }
+  if (outcome.entry) {
+    TRACE_INSTANT("engine", "cache_hit");
+    outcome.cache_hit = true;
+    outcome.wall_seconds = seconds_since(t0);
+    telemetry_.job_hit();
+  }
   return outcome;
 }
 
@@ -177,7 +204,9 @@ std::string SynthesisEngine::telemetry_json(
      << "},\n  \"totals\": " << totals_json() << ",\n  \"jobs\": [";
   bool first = true;
   for (const JobOutcome& outcome : outcomes) {
-    const SynthesisResult& r = outcome.result;
+    // A hit's result is its entry's; a hand-built outcome may have none.
+    const SynthesisResult& r =
+        outcome.entry ? outcome.entry->result : outcome.result;
     os << (first ? "" : ",") << "\n    {\"name\": "
        << json_quote(outcome.name) << ", \"fingerprint\": \""
        << outcome.fingerprint.to_hex() << "\", \"cache_hit\": "

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,8 @@ struct SynthesisJob {
 /// A finished job, in submission order.
 struct JobOutcome {
   std::string name;
+  /// A miss's result. A hit leaves it empty: its result is
+  /// `entry->result`, shared with the cache.
   SynthesisResult result;
   Fingerprint fingerprint;
   bool cache_hit = false;
@@ -55,8 +58,8 @@ struct JobOutcome {
   /// Trace id the job's events were stamped with (0 when tracing was off
   /// and the job carried none). See src/trace.
   std::uint64_t trace_id = 0;
-  /// The cache entry holding `result`: the one a hit found, or the one a
-  /// miss stored. A served response appends its stored JSON.
+  /// The cache entry holding the result: the one a hit found, or the one
+  /// a miss stored. A served response appends its stored JSON.
   std::shared_ptr<const CachedResult> entry;
 };
 
@@ -83,6 +86,16 @@ class SynthesisEngine {
   /// the pool when parallel_restarts is on).
   JobOutcome run_job(const SynthesisJob& job);
 
+  /// The engine's hit path, on the calling thread: fingerprints `job` and
+  /// looks it up in the cache. A hit is a finished job: it counts as one
+  /// cache hit and one completed job, and is traced as an engine/job span
+  /// holding engine/fingerprint, engine/cache_find and a cache_hit
+  /// instant. Its outcome holds the shared entry and leaves `result`
+  /// empty. A miss returns nullopt and counts neither a job nor a cache
+  /// miss: run_job looks again, and counts the job, when it runs it. The
+  /// job's token is not checked, so a hit never fails.
+  std::optional<JobOutcome> find_cached(const SynthesisJob& job);
+
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
   Telemetry& telemetry() { return telemetry_; }
@@ -102,7 +115,11 @@ class SynthesisEngine {
   std::string telemetry_json(const std::vector<JobOutcome>& outcomes) const;
 
  private:
-  JobOutcome execute(const SynthesisJob& job);
+  /// find_cached's work inside the caller's trace-id scope and engine/job
+  /// span. A miss comes back unfinished, with its fingerprint set; it
+  /// counts as a cache miss only when `count_miss` is set.
+  JobOutcome probe(const SynthesisJob& job, std::uint64_t trace_id,
+                   bool count_miss);
 
   SynthesisEngineOptions options_;
   ThreadPool pool_;

@@ -35,10 +35,10 @@ class Telemetry {
   /// Immutable view of all counters at one instant.
   struct Snapshot {
     StageTimes stage_seconds;       ///< summed over all completed jobs
-    std::uint64_t jobs_submitted = 0;
+    std::uint64_t jobs_submitted = 0;  ///< jobs that reached the engine
     std::uint64_t jobs_completed = 0;
     std::uint64_t jobs_cancelled = 0;  ///< finished via SynthesisCancelled
-    std::uint64_t jobs_in_flight = 0;
+    std::uint64_t jobs_in_flight = 0;  ///< misses synthesizing now
     double synthesis_seconds = 0.0;  ///< summed job wall time (cache misses)
     /// Summed router counters (cache misses): each job's winning
     /// candidate only, over every round of its fixpoint.
@@ -50,8 +50,21 @@ class Telemetry {
     SchedStats scheduling;           ///< summed scheduler counters (cache misses)
   };
 
-  void job_submitted() { update([](Snapshot& s) { ++s.jobs_submitted; }); }
-  void job_started() { update([](Snapshot& s) { ++s.jobs_in_flight; }); }
+  /// A job that missed the cache and starts to synthesize.
+  void job_started() {
+    update([](Snapshot& s) {
+      ++s.jobs_submitted;
+      ++s.jobs_in_flight;
+    });
+  }
+  /// A job answered from the cache: it finishes as it starts, and is
+  /// never in flight.
+  void job_hit() {
+    update([](Snapshot& s) {
+      ++s.jobs_submitted;
+      ++s.jobs_completed;
+    });
+  }
   /// A job that stopped with SynthesisCancelled (deadline / drain /
   /// client disconnect) — counted in addition to job_finished().
   void job_cancelled() { update([](Snapshot& s) { ++s.jobs_cancelled; }); }

@@ -255,6 +255,7 @@ const char* http_status_reason(int status) {
     case 405: return "Method Not Allowed";
     case 408: return "Request Timeout";
     case 413: return "Payload Too Large";
+    case 422: return "Unprocessable Content";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
     case 503: return "Service Unavailable";
@@ -263,9 +264,9 @@ const char* http_status_reason(int status) {
   }
 }
 
-std::string HttpResponse::serialize(bool keep_alive) const {
+std::string HttpResponse::head(bool keep_alive) const {
   std::string out;
-  out.reserve(body.size() + 256);
+  out.reserve(256);
   out += "HTTP/1.1 ";
   out += std::to_string(status);
   out += ' ';
@@ -284,7 +285,6 @@ std::string HttpResponse::serialize(bool keep_alive) const {
     out += "\r\n";
   }
   out += "\r\n";
-  out += body;
   return out;
 }
 

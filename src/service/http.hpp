@@ -95,8 +95,10 @@ struct HttpResponse {
   /// Connection are emitted automatically.
   std::vector<std::pair<std::string, std::string>> headers;
 
-  /// The complete wire form, with "Connection: keep-alive|close".
-  std::string serialize(bool keep_alive) const;
+  /// The status line and headers, with "Connection: keep-alive|close",
+  /// through the blank line. The wire form is head() then `body`, sent
+  /// as two buffers (Socket::send_all) so the body is never copied.
+  std::string head(bool keep_alive) const;
 };
 
 struct HttpResponseMessage {

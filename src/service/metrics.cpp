@@ -1,5 +1,6 @@
 #include "service/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -8,8 +9,19 @@ namespace fbmb::service {
 
 namespace {
 
-constexpr double kFirstBoundMs = 0.1;
-constexpr double kGrowth = 1.6;
+/// Upper bounds (ms) of every bucket but the last, which is open-ended:
+/// 0.01 ms, then each 1.6 times the one before, so bucket 38 ends near
+/// 10 minutes. A bucket holds the samples above the bound before it and
+/// at most its own.
+constexpr std::array<double, LatencyHistogram::kBuckets - 1> kBoundsMs = [] {
+  std::array<double, LatencyHistogram::kBuckets - 1> bounds{};
+  double bound = 0.01;
+  for (double& b : bounds) {
+    b = bound;
+    bound *= 1.6;
+  }
+  return bounds;
+}();
 
 std::string number(double v) {
   char buf[48];
@@ -19,15 +31,12 @@ std::string number(double v) {
 
 }  // namespace
 
-double LatencyHistogram::bucket_bound_ms(int index) {
-  return kFirstBoundMs * std::pow(kGrowth, index);
-}
-
 void LatencyHistogram::record(double seconds) {
   if (seconds < 0.0) seconds = 0.0;
   const double ms = seconds * 1e3;
-  int bucket = 0;
-  while (bucket < kBuckets - 1 && ms > bucket_bound_ms(bucket)) ++bucket;
+  const auto bucket = static_cast<std::size_t>(
+      std::lower_bound(kBoundsMs.begin(), kBoundsMs.end(), ms) -
+      kBoundsMs.begin());
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   const auto ns = static_cast<std::uint64_t>(seconds * 1e9);
@@ -56,16 +65,14 @@ double LatencyHistogram::percentile_ms(const Snapshot& snap, double p) {
   if (snap.count == 0) return 0.0;
   const auto rank = static_cast<std::uint64_t>(
       std::ceil(p / 100.0 * static_cast<double>(snap.count)));
+  const double max_ms = snap.max_seconds * 1e3;
   std::uint64_t cumulative = 0;
-  for (int i = 0; i < kBuckets; ++i) {
+  for (std::size_t i = 0; i < kBoundsMs.size(); ++i) {
     cumulative += snap.buckets[i];
-    if (cumulative >= rank) {
-      // The top bucket is open-ended; report the exact max instead.
-      if (i == kBuckets - 1) return snap.max_seconds * 1e3;
-      return bucket_bound_ms(i);
-    }
+    // No sample lies above the max, so neither does any percentile.
+    if (cumulative >= rank) return std::min(kBoundsMs[i], max_ms);
   }
-  return snap.max_seconds * 1e3;
+  return max_ms;  // in the open-ended top bucket
 }
 
 std::string LatencyHistogram::to_json(const Snapshot& snap) {
@@ -89,6 +96,7 @@ void ServiceMetrics::count_response(int status) {
     case 404:
     case 405: responses_not_found.fetch_add(1); break;
     case 413: responses_too_large.fetch_add(1); break;
+    case 422: responses_unprocessable.fetch_add(1); break;
     case 429: responses_rejected.fetch_add(1); break;
     case 503: responses_cancelled.fetch_add(1); break;
     case 504: responses_timed_out.fetch_add(1); break;
@@ -109,6 +117,7 @@ std::string ServiceMetrics::to_json(std::uint64_t in_flight,
      << ", \"bad_request\": " << responses_bad_request.load()
      << ", \"not_found\": " << responses_not_found.load()
      << ", \"too_large\": " << responses_too_large.load()
+     << ", \"unprocessable\": " << responses_unprocessable.load()
      << ", \"rejected\": " << responses_rejected.load()
      << ", \"error\": " << responses_error.load()
      << ", \"cancelled\": " << responses_cancelled.load()

@@ -2,10 +2,10 @@
 // request-latency histogram, layered on top of the engine's Telemetry.
 //
 // Counters are plain atomics so connection handlers record concurrently
-// without locking. The histogram uses fixed geometric buckets (factor ~1.6
-// from 0.1 ms), giving percentile estimates within ~±30% at any scale —
-// plenty for a /metrics endpoint; the load generator measures exact
-// client-side percentiles separately.
+// without locking. The histogram uses fixed geometric buckets (factor 1.6
+// from 0.01 ms), so a percentile is a bucket's upper bound, at most 1.6×
+// the true value and never above the exact max; the load generator
+// measures exact client-side percentiles separately.
 
 #pragma once
 
@@ -30,10 +30,8 @@ class LatencyHistogram {
   void record(double seconds);
   Snapshot snapshot() const;
 
-  /// Upper bound (ms) of bucket `index`.
-  static double bucket_bound_ms(int index);
-
-  /// Estimated percentile in ms (p in [0,100]); the max is exact.
+  /// Estimated percentile in ms (p in [0,100]): the upper bound of the
+  /// bucket holding it, clamped to the max, which is exact.
   static double percentile_ms(const Snapshot& snap, double p);
 
   /// {"count": N, "mean_ms": ..., "p50_ms": ..., "p90_ms": ...,
@@ -57,6 +55,7 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> responses_bad_request{0};   ///< 400
   std::atomic<std::uint64_t> responses_not_found{0};     ///< 404 / 405
   std::atomic<std::uint64_t> responses_too_large{0};     ///< 413
+  std::atomic<std::uint64_t> responses_unprocessable{0}; ///< 422
   std::atomic<std::uint64_t> responses_rejected{0};      ///< 429
   std::atomic<std::uint64_t> responses_error{0};         ///< 500
   std::atomic<std::uint64_t> responses_cancelled{0};     ///< 503

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "route/router.hpp"
+#include "schedule/list_scheduler.hpp"
 #include "service/protocol.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/trace.hpp"
@@ -52,6 +54,28 @@ HttpResponse make_error(int status, const std::string& message,
     response.headers.emplace_back("Retry-After", "1");
   }
   return response;
+}
+
+/// Sends the head and the body in one stream without joining them.
+bool send_response(Socket& conn, const HttpResponse& response,
+                   bool keep_alive, int timeout_ms = 30000) {
+  return conn.send_all(response.head(keep_alive), response.body, timeout_ms);
+}
+
+/// The 200 body. When the request asked for its trace, the request's own
+/// events go inline, bounded; snapshotting here means the enclosing
+/// request/respond spans (still open) are not included.
+std::string ok_body(const JobOutcome& outcome, bool want_trace) {
+  TRACE_SPAN("service", "respond");
+  std::string inline_trace;
+  if (want_trace) {
+    trace::ChromeExportOptions export_options;
+    export_options.trace_id_filter = outcome.trace_id;
+    export_options.max_events = kMaxInlineTraceEvents;
+    inline_trace = trace::to_chrome_json(
+        trace::TraceRecorder::instance().snapshot(), export_options);
+  }
+  return synthesize_body(outcome, inline_trace);
 }
 
 }  // namespace
@@ -141,16 +165,15 @@ void SynthServer::listener_loop() {
     reap_finished_connections(/*join_all=*/false);
     if (!conn) continue;
     if (draining_.load()) {
-      conn->send_all(make_error(503, "server is draining").serialize(false),
-                     /*timeout_ms=*/1000);
+      send_response(*conn, make_error(503, "server is draining"),
+                    /*keep_alive=*/false, /*timeout_ms=*/1000);
       continue;
     }
     if (active_connections_.load() >= options_.max_connections) {
       metrics_.connections_rejected.fetch_add(1);
       metrics_.count_response(503);
-      conn->send_all(
-          make_error(503, "connection limit reached").serialize(false),
-          /*timeout_ms=*/1000);
+      send_response(*conn, make_error(503, "connection limit reached"),
+                    /*keep_alive=*/false, /*timeout_ms=*/1000);
       continue;
     }
     metrics_.connections_accepted.fetch_add(1);
@@ -207,7 +230,7 @@ void SynthServer::connection_loop(Socket conn, ConnSlot* slot) {
       response = make_error(400, parser.error());
     }
     metrics_.count_response(response.status);
-    if (!conn.send_all(response.serialize(keep_alive))) break;
+    if (!send_response(conn, response, keep_alive)) break;
     if (!keep_alive) break;
     parser.reset();
     mid_request = parser.status() != ParseStatus::kNeedMore;
@@ -258,7 +281,9 @@ HttpResponse SynthServer::dispatch(const HttpRequest& request, Socket& conn) {
     if (request.method != "POST") {
       return make_error(405, "method not allowed; use POST");
     }
-    return handle_synthesize(request, conn);
+    HttpResponse response = handle_synthesize(request, conn);
+    metrics_.synthesize_latency.record(seconds_since(start));
+    return response;
   }
   return make_error(404, "no such endpoint: " + request.target);
 }
@@ -293,6 +318,18 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
 
   const int stall_ms =
       std::min(parsed->stall_ms, options_.max_stall_ms);
+  const bool want_trace = parsed->trace;
+
+  // The hit path: a cached input is answered here, on the connection
+  // thread, with no queue, no token and no deadline check. A stalled
+  // request always queues, because the stall exists to hold a worker.
+  if (stall_ms == 0) {
+    if (std::optional<JobOutcome> hit = engine_.find_cached(parsed->job)) {
+      HttpResponse response;
+      response.body = ok_body(*hit, want_trace);
+      return response;
+    }
+  }
 
   auto token = std::make_shared<CancellationToken>();
   if (parsed->timeout_ms > 0.0) {
@@ -302,12 +339,12 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
   }
   parsed->job.cancel = token;
 
-  const auto start = Clock::now();
-
   // Admission control: a full engine queue rejects the request *now*
   // (429 + Retry-After) instead of parking the handler on a blocking
-  // submit. Rejection has no side effects, so the client can retry.
-  const bool want_trace = parsed->trace;
+  // submit. Rejection has no side effects, so the client can retry. The
+  // queued job looks in the cache again when it runs, so a miss queued
+  // behind an identical request is answered from the entry that one
+  // stored.
   auto admit = [&] {
     TRACE_SPAN("service", "admit");
     return engine_.pool().try_submit(
@@ -340,23 +377,17 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
 
   HttpResponse response;
   try {
-    const JobOutcome outcome = future->get();
-    TRACE_SPAN("service", "respond");
-    std::string inline_trace;
-    if (want_trace) {
-      // The request's own events, bounded; snapshotting here means the
-      // enclosing request/respond spans (still open) are not included.
-      trace::ChromeExportOptions export_options;
-      export_options.trace_id_filter = trace_id;
-      export_options.max_events = kMaxInlineTraceEvents;
-      inline_trace = trace::to_chrome_json(
-          trace::TraceRecorder::instance().snapshot(), export_options);
-    }
-    response.body = synthesize_body(outcome, inline_trace);
+    response.body = ok_body(future->get(), want_trace);
   } catch (const SynthesisCancelled& e) {
     const bool deadline =
         e.reason() == SynthesisCancelled::Reason::kDeadline;
     response = make_error(deadline ? 504 : 503, e.what(), e.stage());
+  } catch (const SchedulingError& e) {
+    // The input, not the server, is at fault: the allocation cannot
+    // schedule or route it.
+    response = make_error(422, e.what(), "schedule");
+  } catch (const RoutingError& e) {
+    response = make_error(422, e.what(), "route");
   } catch (const std::exception& e) {
     response = make_error(500, e.what());
   }
@@ -365,7 +396,6 @@ HttpResponse SynthServer::handle_synthesize(const HttpRequest& request,
     std::lock_guard<std::mutex> lock(tokens_mutex_);
     active_tokens_.erase(token);
   }
-  metrics_.synthesize_latency.record(seconds_since(start));
   return response;
 }
 

@@ -9,15 +9,17 @@
 // Architecture: one listener thread accepts connections and hands each to
 // its own handler thread (a dynamic pool bounded by max_connections —
 // beyond the cap connections are answered 503 and closed). Handlers parse
-// requests with the bounded HTTP parser (400/413 on bad input), then pass
-// synthesis jobs through two admission layers: the connection cap and the
-// engine pool's bounded queue via ThreadPool::try_submit — a full queue
-// answers 429 + Retry-After instead of queueing unboundedly. Each job
-// carries a CancellationToken armed with the request's deadline
-// (timeout_ms -> 504) and cancelled early when the client hangs up or the
-// server drains (503). Results come straight from the shared engine, so
-// they are bit-identical to direct library calls and warm the same
-// content-addressed cache across requests.
+// requests with the bounded HTTP parser (400/413 on bad input) and answer
+// a cache hit themselves (SynthesisEngine::find_cached). Misses pass two
+// admission layers: the connection cap and the engine pool's bounded
+// queue via ThreadPool::try_submit — a full queue answers 429 +
+// Retry-After instead of queueing unboundedly. Each queued job carries a
+// CancellationToken armed with the request's deadline (timeout_ms -> 504)
+// and cancelled early when the client hangs up or the server drains
+// (503); an input the allocation cannot schedule or route is a 422.
+// Results come straight from the shared engine, so they are bit-identical
+// to direct library calls and warm the same content-addressed cache
+// across requests.
 //
 // Graceful drain: request_shutdown() (or SignalDrain on SIGTERM/SIGINT)
 // flips the server into draining mode — the listener stops accepting,

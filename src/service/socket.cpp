@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -71,22 +73,45 @@ IoStatus Socket::read_some(char* data, std::size_t size, int timeout_ms,
 }
 
 bool Socket::send_all(std::string_view data, int timeout_ms) {
+  return send_all(data, {}, timeout_ms);
+}
+
+bool Socket::send_all(std::string_view head, std::string_view body,
+                      int timeout_ms) {
   if (fd_ < 0) return false;
-  std::size_t sent = 0;
-  while (sent < data.size()) {
+  std::array<struct iovec, 2> parts = {
+      {{const_cast<char*>(head.data()), head.size()},
+       {const_cast<char*>(body.data()), body.size()}}};
+  std::size_t next = 0;  // the first part with bytes left to send
+  // Drops `sent` bytes from the front of the unsent parts.
+  const auto advance = [&](std::size_t sent) {
+    for (; next < parts.size(); ++next) {
+      struct iovec& part = parts[next];
+      if (sent < part.iov_len) {
+        part.iov_base = static_cast<char*>(part.iov_base) + sent;
+        part.iov_len -= sent;
+        return;
+      }
+      sent -= part.iov_len;
+    }
+  };
+  advance(0);
+  while (next < parts.size()) {
     const int revents = poll_one(fd_, POLLOUT, timeout_ms);
     if (revents <= 0 || (revents & (POLLERR | POLLNVAL | POLLHUP)) != 0) {
       return false;
     }
-    const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+    struct msghdr message = {};
+    message.msg_iov = &parts[next];
+    message.msg_iovlen = parts.size() - next;
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
         continue;
       }
       return false;
     }
-    sent += static_cast<std::size_t>(n);
+    advance(static_cast<std::size_t>(n));
   }
   return true;
 }

@@ -49,6 +49,12 @@ class Socket {
   /// the socket to accept bytes. False on error/timeout.
   bool send_all(std::string_view data, int timeout_ms = 30000);
 
+  /// Writes `head` then `body` as one stream, handing both to each
+  /// sendmsg call (a response's head and body without joining them);
+  /// otherwise as send_all above.
+  bool send_all(std::string_view head, std::string_view body,
+                int timeout_ms = 30000);
+
   /// True when the peer has hung up (or the socket errored) — checked via
   /// poll without consuming any buffered request bytes.
   bool peer_hung_up(int timeout_ms = 0) const;

@@ -171,6 +171,10 @@ class SpanGuard {
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
 
+  /// Records nothing at scope exit: the scope turned out not to be the
+  /// event the span names.
+  void dismiss() { category_ = nullptr; }
+
  private:
   const char* category_ = nullptr;
   const char* name_ = nullptr;

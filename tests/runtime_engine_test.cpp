@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,7 +102,9 @@ TEST(SynthesisEngine, SecondPassHitsTheCache) {
   for (std::size_t i = 0; i < warm.size(); ++i) {
     EXPECT_FALSE(cold[i].cache_hit);
     EXPECT_TRUE(warm[i].cache_hit) << warm[i].name;
-    expect_metrics_identical(warm[i].result, cold[i].result, warm[i].name);
+    ASSERT_NE(warm[i].entry, nullptr) << warm[i].name;
+    expect_metrics_identical(warm[i].entry->result, cold[i].result,
+                             warm[i].name);
   }
   EXPECT_EQ(engine.cache().hits(), jobs.size());
   EXPECT_EQ(engine.cache().misses(), jobs.size());
@@ -113,7 +117,8 @@ TEST(SynthesisEngine, SecondPassHitsTheCache) {
 
 TEST(SynthesisEngine, MissAndHitCarryTheSameEntry) {
   // A hit shares the entry the miss stored: one result, one set of JSON
-  // bytes, however many times the job is answered.
+  // bytes, however many times the job is answered. It copies nothing out
+  // of the entry, so its own result stays empty.
   const SynthesisJob job = small_jobs().front();
   SynthesisEngine engine;
   const JobOutcome miss = engine.run_job(job);
@@ -123,7 +128,72 @@ TEST(SynthesisEngine, MissAndHitCarryTheSameEntry) {
   ASSERT_NE(miss.entry, nullptr);
   EXPECT_EQ(hit.entry, miss.entry);
   EXPECT_EQ(miss.entry->result, miss.result);
-  EXPECT_EQ(hit.result, miss.result);
+  EXPECT_EQ(hit.entry->result, miss.result);
+  EXPECT_EQ(hit.result, SynthesisResult{});
+}
+
+TEST(SynthesisEngine, FindCachedAnswersHitsAndCountsNoMiss) {
+  // The hit path counts a hit as one cache hit and one finished job. A
+  // miss counts nothing: run_job looks again and counts it then, so each
+  // job adds one to hits + misses whichever path answers it.
+  const SynthesisJob job = small_jobs().front();
+  SynthesisEngine engine;
+  EXPECT_FALSE(engine.find_cached(job).has_value());
+  EXPECT_EQ(engine.cache().hits() + engine.cache().misses(), 0u);
+  EXPECT_EQ(engine.telemetry().snapshot().jobs_submitted, 0u);
+
+  const JobOutcome miss = engine.run_job(job);
+  const std::optional<JobOutcome> hit = engine.find_cached(job);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->name, job.name);
+  EXPECT_EQ(hit->fingerprint, miss.fingerprint);
+  EXPECT_EQ(hit->entry, miss.entry);
+  EXPECT_EQ(hit->result, SynthesisResult{});
+  EXPECT_EQ(engine.cache().misses(), 1u);
+  EXPECT_EQ(engine.cache().hits(), 1u);
+  const Telemetry::Snapshot snap = engine.telemetry().snapshot();
+  EXPECT_EQ(snap.jobs_submitted, 2u);
+  EXPECT_EQ(snap.jobs_completed, 2u);
+  EXPECT_EQ(snap.jobs_in_flight, 0u);
+}
+
+/// The "jobs" rows of a telemetry_json report with each row's cache_hit
+/// and wall_seconds, which describe the run, replaced by "_".
+std::string job_rows_without_run_fields(const std::string& json) {
+  std::string masked;
+  std::size_t from = json.find("\"jobs\": [");
+  while (true) {
+    std::size_t value = std::string::npos;
+    for (const std::string key : {"\"cache_hit\": ", "\"wall_seconds\": "}) {
+      const std::size_t at = json.find(key, from);
+      if (at != std::string::npos) value = std::min(value, at + key.size());
+    }
+    if (value == std::string::npos) break;
+    masked.append(json, from, value - from).append("_");
+    from = json.find(',', value);
+  }
+  return masked.append(json, from);
+}
+
+TEST(SynthesisEngine, WarmBatchTelemetryMatchesTheColdPass) {
+  // A warm batch's outcomes hold their results in the shared entries;
+  // the report reads them there, so each job's row prints the stages and
+  // counters of the run that produced its result.
+  const auto jobs = small_jobs();
+  SynthesisEngine engine;
+  const auto cold = engine.run_batch(jobs);
+  const auto warm = engine.run_batch(jobs);
+  for (const JobOutcome& outcome : warm) ASSERT_TRUE(outcome.cache_hit);
+  const std::string cold_json = engine.telemetry_json(cold);
+  const std::string warm_json = engine.telemetry_json(warm);
+  EXPECT_NE(warm_json.find("\"cache_hit\": true"), std::string::npos);
+  EXPECT_EQ(job_rows_without_run_fields(warm_json),
+            job_rows_without_run_fields(cold_json));
+  const std::string ops = std::string("\"ops_scheduled\": ")
+                              .append(std::to_string(
+                                  jobs.front().graph.operation_count()));
+  EXPECT_NE(warm_json.find(ops), std::string::npos);
 }
 
 TEST(SynthesisEngine, DifferentOptionsMissTheCache) {

@@ -1,8 +1,16 @@
 #include "service/http.hpp"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
+
+#include "service/metrics.hpp"
+#include "service/socket.hpp"
 
 namespace fbmb::service {
 namespace {
@@ -151,7 +159,7 @@ TEST(HttpResponse, SerializeRoundTripsThroughResponseParser) {
   response.status = 429;
   response.body = "{\"error\": \"full\"}";
   response.headers.emplace_back("Retry-After", "1");
-  const std::string wire = response.serialize(/*keep_alive=*/false);
+  const std::string wire = response.head(/*keep_alive=*/false) + response.body;
 
   HttpResponseParser parser;
   ASSERT_EQ(parser.feed(wire.data(), wire.size()), ParseStatus::kDone);
@@ -166,9 +174,96 @@ TEST(HttpResponse, SerializeRoundTripsThroughResponseParser) {
 }
 
 TEST(HttpResponse, EveryServiceStatusHasAReason) {
-  for (int status : {200, 400, 404, 405, 413, 429, 500, 503, 504}) {
-    EXPECT_STRNE(http_status_reason(status), "") << status;
+  for (int status : {200, 400, 404, 405, 413, 422, 429, 500, 503, 504}) {
+    EXPECT_STRNE(http_status_reason(status), "Unknown") << status;
   }
+}
+
+// The two-buffer send resumes after partial writes: a non-blocking writer
+// whose send buffer holds a few KB takes a head and a body many times that
+// size in pieces, some ending inside the head and most inside the body.
+TEST(Socket, HeadAndBodyLargerThanTheSendBufferArriveWhole) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket writer(fds[0]);
+  Socket reader(fds[1]);
+  const int send_buffer = 4096;
+  ASSERT_EQ(::setsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                         sizeof(send_buffer)),
+            0);
+  ASSERT_EQ(::fcntl(writer.fd(), F_SETFL,
+                    ::fcntl(writer.fd(), F_GETFL) | O_NONBLOCK),
+            0);
+  std::string head(10000, 'h');
+  std::string body(300000, ' ');
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>('a' + i % 26);
+  }
+
+  std::string received;
+  std::thread drain([&] {
+    // Start late, so the writer fills its buffer and has to wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    char buffer[1500];
+    while (received.size() < head.size() + body.size()) {
+      std::size_t n = 0;
+      if (reader.read_some(buffer, sizeof(buffer), 5000, n) !=
+          IoStatus::kOk) {
+        break;
+      }
+      received.append(buffer, n);
+    }
+  });
+  const bool sent = writer.send_all(head, body, 5000);
+  drain.join();
+  EXPECT_TRUE(sent);
+  ASSERT_EQ(received.size(), head.size() + body.size());
+  EXPECT_TRUE(received == head + body);
+}
+
+// A percentile is its bucket's upper bound clamped to the exact max, so
+// samples below the first bound (0.01 ms) or at the top of a bucket never
+// report a percentile above the largest sample.
+TEST(LatencyHistogram, PercentilesAreOrderedAndNeverAboveTheMax) {
+  const auto expect_ordered = [](const LatencyHistogram& histogram,
+                                 const char* label) {
+    const LatencyHistogram::Snapshot snap = histogram.snapshot();
+    const double p50 = LatencyHistogram::percentile_ms(snap, 50.0);
+    const double p90 = LatencyHistogram::percentile_ms(snap, 90.0);
+    const double p99 = LatencyHistogram::percentile_ms(snap, 99.0);
+    const double max = snap.max_seconds * 1e3;
+    EXPECT_LE(p50, p90) << label;
+    EXPECT_LE(p90, p99) << label;
+    EXPECT_LE(p99, max) << label;
+    EXPECT_GT(p50, 0.0) << label;
+  };
+
+  // One sample of 1 µs, far below the first bound.
+  LatencyHistogram tiny;
+  tiny.record(1e-6);
+  expect_ordered(tiny, "1 us");
+  const LatencyHistogram::Snapshot one = tiny.snapshot();
+  EXPECT_LT(one.max_seconds * 1e3, 0.01);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::percentile_ms(one, 50.0),
+                   one.max_seconds * 1e3);
+
+  // Samples at the top of buckets: 0.01 ms and 1.6^k times it.
+  LatencyHistogram tops;
+  double ms = 0.01;
+  for (int k = 0; k < 12; ++k, ms *= 1.6) tops.record(ms * 1e-3);
+  expect_ordered(tops, "bucket tops");
+
+  // Most samples below the first bound, a few in one bucket whose bound
+  // lies above the max (the 4.50–7.21 ms bucket, max 6.81771 ms).
+  LatencyHistogram mixed;
+  for (int i = 0; i < 50; ++i) mixed.record(2e-6);
+  for (int i = 0; i < 40; ++i) mixed.record(5.5e-3);
+  for (int i = 0; i < 10; ++i) mixed.record(6.81771e-3);
+  expect_ordered(mixed, "mixed");
+  const LatencyHistogram::Snapshot snap = mixed.snapshot();
+  EXPECT_LE(LatencyHistogram::percentile_ms(snap, 50.0), 0.01);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::percentile_ms(snap, 90.0),
+                   snap.max_seconds * 1e3);
 }
 
 }  // namespace

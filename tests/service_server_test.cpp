@@ -9,6 +9,7 @@
 #include <chrono>
 #include <initializer_list>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,6 +179,7 @@ TEST(SynthesizeBody, StoredBytesMatchTheWriter) {
     ASSERT_NE(outcome.entry, nullptr);
     EXPECT_EQ(outcome.cache_hit, pass == 1);
     JobOutcome hand_built = outcome;
+    hand_built.result = outcome.entry->result;  // a hit's result is empty
     hand_built.entry = nullptr;
     EXPECT_EQ(synthesize_body(hand_built), synthesize_body(outcome));
     EXPECT_EQ(synthesize_body(hand_built, "{\"traceEvents\": []}"),
@@ -378,6 +380,165 @@ TEST(SynthServer, FullQueueAnswers429WithRetryAfter) {
   EXPECT_GE(metrics_value(server.port(), {"engine", "max_queue_depth"}), 1u);
   EXPECT_EQ(metrics_value(server.port(), {"service", "requests", "in_flight"}),
             0u);
+}
+
+/// Polls service.requests.<key> until it reaches `want` (5 s cap).
+bool wait_for_requests(std::uint16_t port, const char* key,
+                       std::uint64_t want) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (metrics_value(port, {"service", "requests", key}) == want) {
+      return true;
+    }
+    std::this_thread::sleep_for(5ms);
+  }
+  return false;
+}
+
+TEST(SynthServer, HitIsAnsweredWhileTheQueueIsFull) {
+  // A hit is answered on the connection thread: it needs neither a worker
+  // nor a queue slot, so a saturated engine still serves cached inputs.
+  ServerOptions options = test_options();
+  options.engine.threads = 1;
+  options.engine.queue_capacity = 1;
+  SynthServer server(options);
+  server.start();
+  const std::uint16_t port = server.port();
+  const std::string cached = R"({"benchmark": "PCR", "seed": 5})";
+  ASSERT_EQ(roundtrip(port, "POST", "/synthesize", cached)->status, 200);
+
+  // Hold the worker, then the queue slot, with stalled requests.
+  const auto hold = [port] {
+    roundtrip(port, "POST", "/synthesize",
+              R"({"benchmark": "IVD", "stall_ms": 600})");
+  };
+  std::thread on_worker(hold);
+  EXPECT_TRUE(wait_for_requests(port, "in_flight", 1));
+  EXPECT_TRUE(wait_for_requests(port, "queue_depth", 0));
+  std::thread in_queue(hold);
+  EXPECT_TRUE(wait_for_requests(port, "in_flight", 2));
+  const auto full = roundtrip(port, "POST", "/synthesize",
+                              R"({"benchmark": "IVD", "stall_ms": 600})");
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->status, 429);
+
+  const auto hit = roundtrip(port, "POST", "/synthesize", cached);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->status, 200) << hit->body;
+  EXPECT_NE(hit->body.find("\"cache_hit\": true"), std::string::npos);
+  on_worker.join();
+  in_queue.join();
+}
+
+TEST(SynthServer, EachParsedRequestCountsOneCacheLookup) {
+  // However a request is answered (a miss, a hit on the connection
+  // thread, a stalled request, or a miss that waited in the queue behind
+  // an identical one and finds its entry when it runs), it adds exactly
+  // one to hits + misses.
+  ServerOptions options = test_options();
+  options.engine.threads = 1;
+  SynthServer server(options);
+  server.start();
+  const std::uint16_t port = server.port();
+  int parsed = 0;
+  int hits = 0;
+  const auto send = [&](const std::string& body) {
+    const auto response = roundtrip(port, "POST", "/synthesize", body);
+    if (!response) return 0;
+    if (response->status != 400) ++parsed;
+    if (response->body.find("\"cache_hit\": true") != std::string::npos) {
+      ++hits;
+    }
+    return response->status;
+  };
+
+  EXPECT_EQ(send(R"({"benchmark": "PCR"})"), 200);          // miss
+  EXPECT_EQ(send(R"({"benchmark": "PCR"})"), 200);          // hit
+  EXPECT_EQ(send(R"({"benchmark": "NoSuchAssay"})"), 400);  // no lookup
+  // A stalled request queues even for a cached input; its job hits.
+  EXPECT_EQ(send(R"({"benchmark": "PCR", "stall_ms": 20})"), 200);
+
+  // The first IVD request stalls on the only worker; the second, the same
+  // input unstalled, misses on the connection thread and queues behind it.
+  const std::string stalled = R"({"benchmark": "IVD", "stall_ms": 300})";
+  int first_status = 0;
+  std::thread first([&] { first_status = send(stalled); });
+  EXPECT_TRUE(wait_for_requests(port, "in_flight", 1));
+  std::optional<HttpResponseMessage> queued;
+  std::thread second([&] {
+    queued = roundtrip(port, "POST", "/synthesize", R"({"benchmark": "IVD"})");
+  });
+  // Only a request that went to the queue holds a token.
+  EXPECT_TRUE(wait_for_requests(port, "in_flight", 2));
+  first.join();
+  second.join();
+  EXPECT_EQ(first_status, 200);
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(queued->status, 200);
+  EXPECT_NE(queued->body.find("\"cache_hit\": true"), std::string::npos);
+  ++parsed;
+  ++hits;
+
+  EXPECT_EQ(parsed, 5);
+  EXPECT_EQ(hits, 3);
+  EXPECT_EQ(server.engine().cache().hits(), 3u);
+  EXPECT_EQ(server.engine().cache().hits() + server.engine().cache().misses(),
+            static_cast<std::uint64_t>(parsed));
+  EXPECT_EQ(server.engine().telemetry().snapshot().jobs_submitted,
+            static_cast<std::uint64_t>(parsed));
+}
+
+TEST(SynthServer, TracedHitShowsTheEngineStepsOnly) {
+  // A traced hit runs the engine's hit path on the connection thread:
+  // its trace holds the job, its fingerprint and its cache lookup, and no
+  // admission or wait.
+  SynthServer server(test_options());
+  server.start();
+  ASSERT_EQ(roundtrip(server.port(), "POST", "/synthesize",
+                      R"({"benchmark": "PCR"})")
+                ->status,
+            200);
+  const auto traced = roundtrip(server.port(), "POST", "/synthesize",
+                                R"({"benchmark": "PCR", "trace": true})");
+  ASSERT_TRUE(traced.has_value());
+  ASSERT_EQ(traced->status, 200) << traced->body;
+  const auto root = jsonio::parse(traced->body);
+  ASSERT_TRUE(root.has_value());
+  EXPECT_TRUE(root->find("cache_hit")->b);
+  const std::string id = root->find("trace_id")->str;
+  const jsonio::Value* events = root->find("trace")->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::set<std::string> names;
+  for (const jsonio::Value& event : events->array) {
+    if (event.find("ph")->str == "M") continue;
+    EXPECT_EQ(event.find("args")->find("trace_id")->str, id);
+    names.insert(event.find("name")->str);
+  }
+  for (const char* want : {"job", "fingerprint", "cache_find", "cache_hit"}) {
+    EXPECT_EQ(names.count(want), 1u) << "missing " << want;
+  }
+  for (const char* absent : {"admit", "synthesize", "schedule"}) {
+    EXPECT_EQ(names.count(absent), 0u) << "unexpected " << absent;
+  }
+}
+
+TEST(SynthServer, InputTheAllocationCannotServeAnswers422) {
+  // The heater step has no heater to run on: the input is at fault, not
+  // the server.
+  SynthServer server(test_options());
+  server.start();
+  const auto response = roundtrip(
+      server.port(), "POST", "/synthesize",
+      R"({"assay": "op a mix 2\nop b heat 3\ndep a b\nallocate 1 0 0 0\n"})");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 422) << response->body;
+  EXPECT_EQ(response->reason, "Unprocessable Content");
+  const auto root = jsonio::parse(response->body);
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->find("stage")->str, "schedule");
+  EXPECT_NE(root->find("error")->str.find("Heater"), std::string::npos);
+  EXPECT_EQ(response_counter(server.port(), "unprocessable"), 1u);
+  EXPECT_EQ(response_counter(server.port(), "error"), 0u);
 }
 
 TEST(SynthServer, ClientDisconnectCancelsTheJob) {
