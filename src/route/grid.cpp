@@ -33,8 +33,9 @@ RoutingGrid::RoutingGrid(const ChipSpec& spec, const Allocation& allocation,
 void RoutingGrid::reset_transients() {
   for (auto& c : cells_) {
     c.weight = spec_.initial_cell_weight;
-    c.occupancy = IntervalSet{};
+    c.occupancy.clear();
     c.residue.reset();
+    c.residue_wash = 0.0;
   }
 }
 

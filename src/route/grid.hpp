@@ -32,6 +32,10 @@ struct CellState {
   double weight = 0.0;       ///< w(i); starts at ChipSpec::initial_cell_weight
   IntervalSet occupancy;     ///< T_i, the occupation time slots
   std::optional<Fluid> residue;  ///< fluid last left in the cell
+  /// Wash time of `residue` under the wash model it was routed with,
+  /// stored with it by the router core (RouterCore::occupy) so that no
+  /// probe recomputes it; 0 while the cell is clean.
+  double residue_wash = 0.0;
 };
 
 class RoutingGrid {
@@ -59,11 +63,13 @@ class RoutingGrid {
   /// in — placement legality with spacing >= 1 prevents that.
   std::vector<Point> ports(ComponentId id) const;
 
-  /// Clears every cell's routing-produced state — occupancy slots, residue,
-  /// weight back to spec().initial_cell_weight — leaving the static state
-  /// (dimensions, blockages) untouched. Equivalent to reconstructing the
-  /// grid from the same placement, without the allocation; the incremental
-  /// fixpoint router calls this between rounds.
+  /// Clears every cell's routing-produced state — occupancy slots, residue
+  /// and its wash, weight back to spec().initial_cell_weight — leaving the
+  /// static state (dimensions, blockages) untouched. Equivalent to
+  /// reconstructing the grid from the same placement, without the
+  /// allocation; the incremental fixpoint router calls this between rounds.
+  /// Each cell keeps its occupancy storage, so later rounds reserve
+  /// without growing the vectors again.
   void reset_transients();
 
   /// 4-neighbourhood of p, filtered to in-bounds cells.

@@ -72,7 +72,12 @@ class RouterCore {
         g_stamp_(size_, 0),
         target_stamp_(size_, 0),
         wash_stamp_(size_, 0),
-        probe_stamp_(size_, 0) {}
+        probe_stamp_(size_, 0) {
+    blocked_.reserve(size_);
+    for (std::size_t i = 0; i < size_; ++i) {
+      blocked_.push_back(cells_[i].blocked ? 1 : 0);
+    }
+  }
 
   /// Redirects the search-effort counters (e.g. to a new round's
   /// RoutingResult when one core serves several routing rounds).
@@ -110,7 +115,7 @@ class RouterCore {
     for (const Probe& p : probes) {
       const auto i = static_cast<std::size_t>(p.cell);
       if (cell_weight(i) != p.weight) return false;
-      const bool ok = !cells_[i].blocked &&
+      const bool ok = !blocked_[i] &&
                       (!opts_.conflict_aware || !conflicts(i, start));
       if (ok != p.feasible) return false;
     }
@@ -275,6 +280,7 @@ class RouterCore {
   /// would mean corrupt (silently conflicting) routing state, so it is a
   /// hard error in every build type, not an assert.
   void occupy(const std::vector<Point>& path, double start) {
+    const double fluid_wash = wash_model_.wash_time(task_->fluid);
     const int n = static_cast<int>(path.size());
     for (int i = 0; i < n; ++i) {
       const std::size_t idx = index(path[static_cast<std::size_t>(i)]);
@@ -289,9 +295,8 @@ class RouterCore {
             "that overlaps an existing reservation");
       }
       cell.residue = task_->fluid;
-      if (opts_.wash_aware_weights) {
-        cell.weight = wash_model_.wash_time(task_->fluid);
-      }
+      cell.residue_wash = fluid_wash;
+      if (opts_.wash_aware_weights) cell.weight = fluid_wash;
     }
   }
 
@@ -304,18 +309,21 @@ class RouterCore {
 
   int cache_cells() const { return cache_cells_; }
 
-  /// Per-(task, cell) wash time, derived once from the cell's residue and
-  /// memoized under the task's generation stamp. Valid for the whole task
-  /// (search, postponement retries, flush accounting, occupy): residues
-  /// only change in occupy, which touches each path cell after reading its
-  /// cached value, and A* paths never revisit a cell.
+  /// Per-(task, cell) wash time: 0 for a clean cell or the task's own
+  /// fluid, else the residue's wash time, which occupy() stored beside
+  /// the residue when it committed the task that left it (one wash_time
+  /// call per committed task, none per probe). Memoized under the task's
+  /// generation stamp. Valid for the whole task (search, postponement
+  /// retries, flush accounting, occupy): residues only change in occupy,
+  /// which touches each path cell after reading its cached value, and A*
+  /// paths never revisit a cell.
   double wash_needed(std::size_t i) {
     if (wash_stamp_[i] != gen_) {
       wash_stamp_[i] = gen_;
       const CellState& c = cells_[i];
       wash_[i] = (!c.residue || c.residue->name == task_->fluid.name)
                      ? 0.0
-                     : wash_model_.wash_time(*c.residue);
+                     : c.residue_wash;
     }
     return wash_[i];
   }
@@ -339,20 +347,24 @@ class RouterCore {
   /// True when cell i's occupation slots overlap the interval the task
   /// needs on it at `start`: the wash lead, the movement window and, for
   /// tail cells (near a target port), the cache dwell. dist_ equals the
-  /// reference's min-Manhattan scan over all targets. Counts nothing.
+  /// reference's min-Manhattan scan over all targets. A cell with no
+  /// reservation conflicts with nothing, so its wash is not looked up.
+  /// Counts nothing.
   bool conflicts(std::size_t i, double start) {
+    const IntervalSet& occupancy = cells_[i].occupancy;
+    if (occupancy.empty()) return false;
     const double wash = wash_needed(i);
     double end = start + task_->transport_time;
     if (dist_[i] <= cache_cells_ && task_->cache_dwell > 0.0) {
       end += task_->cache_dwell;
     }
-    return cells_[i].occupancy.overlaps({start - wash, end});
+    return occupancy.overlaps({start - wash, end});
   }
 
   /// Eq. 5 feasibility: blocked cells and (in conflict-aware mode) cells
   /// whose occupation slots overlap the task's required interval are +inf.
   bool feasible(std::size_t i, double start) {
-    if (cells_[i].blocked) return false;
+    if (blocked_[i]) return false;
     if (!opts_.conflict_aware) return true;
     if (conflicts(i, start)) {
       ++stats_->feasibility_rejections;
@@ -361,13 +373,11 @@ class RouterCore {
     return true;
   }
 
-  /// Records the first probe of an infeasible cell, in the probe log if
-  /// one is installed and, unless blocked, in the failure certificate.
-  /// Infeasible cells are the only ones that need their own dedup stamp:
-  /// a rejected cell never enters the g-relaxation, so re-probes from
-  /// other neighbours cannot be deduped any cheaper. They are a small
-  /// minority of probes, so the stamp's random access stays off the hot
-  /// path.
+  /// Records the first probe of an infeasible cell: stamps it, so that
+  /// relax answers its later probes in this search without deciding it
+  /// again, and logs it in the probe log if one is installed and, unless
+  /// blocked, in the failure certificate. A rejected cell never enters
+  /// the g-relaxation, so g_stamp_ cannot mark it; hence its own stamp.
   void record_infeasible(std::size_t i) {
     if (probe_stamp_[i] == search_gen_) return;
     probe_stamp_[i] = search_gen_;
@@ -375,7 +385,7 @@ class RouterCore {
       probe_log_->push_back(
           {static_cast<std::int32_t>(i), false, cell_weight(i)});
     }
-    if (!cells_[i].blocked) {
+    if (!blocked_[i]) {
       source_cert_.push_back(static_cast<std::int32_t>(i));
     }
   }
@@ -416,7 +426,7 @@ class RouterCore {
     bfs_queue_.clear();
     auto visit = [&](std::size_t i) {
       if (g_stamp_[i] == search_gen_ || probe_stamp_[i] == search_gen_ ||
-          cells_[i].blocked) {
+          blocked_[i]) {
         return;
       }
       if (conflicts(i, start)) {
@@ -446,18 +456,29 @@ class RouterCore {
     probe_log_->push_back({static_cast<std::int32_t>(i), true, weight});
   }
 
+  /// A cell's verdict is fixed for the whole search (start, occupancy,
+  /// residues and the distance field do not change within it), so it is
+  /// decided on the cell's first probe only: a cell already reached in
+  /// this search is feasible, and one with this search's probe stamp is
+  /// not. A repeat probe of a conflicting cell still counts one
+  /// rejection, as re-deciding it would.
   void relax(std::size_t from, Point np, double node_g, double start) {
     const std::size_t i = index(np);
-    if (!feasible(i, start)) {
-      record_infeasible(i);
-      return;
+    const bool reached = g_stamp_[i] == search_gen_;
+    if (!reached) {
+      if (probe_stamp_[i] == search_gen_) {
+        if (!blocked_[i]) ++stats_->feasibility_rejections;
+        return;
+      }
+      if (!feasible(i, start)) {
+        record_infeasible(i);
+        return;
+      }
     }
     const double weight = cell_weight(i);
     const double g = node_g + 1.0 + weight;
-    if (g_stamp_[i] != search_gen_ || g < best_g_[i]) {
-      if (probe_log_ && g_stamp_[i] != search_gen_) {
-        record_feasible(i, weight);
-      }
+    if (!reached || g < best_g_[i]) {
+      if (probe_log_ && !reached) record_feasible(i, weight);
       g_stamp_[i] = search_gen_;
       best_g_[i] = g;
       parent_[i] = static_cast<std::int32_t>(from);
@@ -540,6 +561,9 @@ class RouterCore {
   const int cache_cells_;
   const double uniform_weight_;
   CellState* const cells_;  ///< row-major, same layout as RoutingGrid
+  /// cells_[i].blocked, copied densely once: blockages never change while
+  /// routing, and every probe reads this flag first.
+  std::vector<std::uint8_t> blocked_;
 
   const RouteTask* task_ = nullptr;
   const std::vector<Point>* sources_ = nullptr;

@@ -165,6 +165,7 @@ void SynthServer::listener_loop() {
     reap_finished_connections(/*join_all=*/false);
     if (!conn) continue;
     if (draining_.load()) {
+      metrics_.count_response(503);
       send_response(*conn, make_error(503, "server is draining"),
                     /*keep_alive=*/false, /*timeout_ms=*/1000);
       continue;

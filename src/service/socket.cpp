@@ -104,7 +104,10 @@ bool Socket::send_all(std::string_view head, std::string_view body,
     struct msghdr message = {};
     message.msg_iov = &parts[next];
     message.msg_iovlen = parts.size() - next;
-    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
+    // MSG_DONTWAIT: the accepted socket is blocking, and a blocking
+    // sendmsg larger than the free send buffer would wait for the peer to
+    // read, past timeout_ms. Each write waits only in poll above.
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
         continue;

@@ -46,7 +46,8 @@ class Socket {
                      std::size_t& received);
 
   /// Writes the whole buffer; each chunk waits at most `timeout_ms` for
-  /// the socket to accept bytes. False on error/timeout.
+  /// the socket to accept bytes, blocking socket or not, so a peer that
+  /// stops reading cannot hold the caller longer. False on error/timeout.
   bool send_all(std::string_view data, int timeout_ms = 30000);
 
   /// Writes `head` then `body` as one stream, handing both to each

@@ -1,7 +1,6 @@
 #include "util/interval_set.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -17,38 +16,9 @@ std::ostream& operator<<(std::ostream& os, const TimeInterval& iv) {
   return os << '[' << iv.start << ',' << iv.end << ')';
 }
 
-namespace {
-
-// Iterator to the first stored interval whose end is > iv.start, i.e. the
-// first candidate that could overlap [iv.start, iv.end).
-auto first_candidate(const std::vector<TimeInterval>& intervals,
-                     const TimeInterval& iv) {
-  return std::lower_bound(
-      intervals.begin(), intervals.end(), iv,
-      [](const TimeInterval& a, const TimeInterval& b) {
-        return a.end <= b.start;
-      });
-}
-
-}  // namespace
-
-bool IntervalSet::overlaps(const TimeInterval& iv) const {
-  if (iv.empty()) return false;
-  auto it = first_candidate(intervals_, iv);
-  return it != intervals_.end() && it->overlaps(iv);
-}
-
-std::optional<TimeInterval> IntervalSet::first_overlap(
-    const TimeInterval& iv) const {
-  if (iv.empty()) return std::nullopt;
-  auto it = first_candidate(intervals_, iv);
-  if (it != intervals_.end() && it->overlaps(iv)) return *it;
-  return std::nullopt;
-}
-
 bool IntervalSet::insert_disjoint(const TimeInterval& iv) {
   if (iv.empty()) return true;  // nothing to insert
-  auto it = first_candidate(intervals_, iv);
+  const auto it = first_candidate(iv);
   if (it != intervals_.end() && it->overlaps(iv)) return false;
   intervals_.insert(it, iv);
   return true;
@@ -80,12 +50,6 @@ double IntervalSet::earliest_fit(double from, double duration) const {
     t = iv.end;                           // pushed past this interval
   }
   return t;
-}
-
-double IntervalSet::total_duration() const {
-  double sum = 0.0;
-  for (const auto& iv : intervals_) sum += iv.duration();
-  return sum;
 }
 
 }  // namespace fbmb

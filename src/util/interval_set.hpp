@@ -8,9 +8,8 @@
 
 #pragma once
 
-#include <cassert>
+#include <algorithm>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,11 +46,13 @@ class IntervalSet {
   std::size_t size() const { return intervals_.size(); }
   const std::vector<TimeInterval>& intervals() const { return intervals_; }
 
-  /// True iff `iv` overlaps any stored interval.
-  bool overlaps(const TimeInterval& iv) const;
-
-  /// First stored interval overlapping `iv`, if any.
-  std::optional<TimeInterval> first_overlap(const TimeInterval& iv) const;
+  /// True iff `iv` overlaps any stored interval. Inline, with no search
+  /// on an empty set: the router asks it of every cell it probes.
+  bool overlaps(const TimeInterval& iv) const {
+    if (intervals_.empty() || iv.empty()) return false;
+    const auto it = first_candidate(iv);
+    return it != intervals_.end() && it->overlaps(iv);
+  }
 
   /// Inserts an interval that must not overlap existing content.
   /// Returns false (and leaves the set unchanged) if it would overlap.
@@ -63,12 +64,20 @@ class IntervalSet {
   /// Earliest time >= `from` at which a slot of length `duration` fits.
   double earliest_fit(double from, double duration) const;
 
-  /// Total covered duration (intervals are disjoint by construction).
-  double total_duration() const;
-
+  /// Empties the set and keeps its storage.
   void clear() { intervals_.clear(); }
 
  private:
+  /// The first stored interval whose end is > iv.start, i.e. the first
+  /// one that could overlap [iv.start, iv.end).
+  std::vector<TimeInterval>::const_iterator first_candidate(
+      const TimeInterval& iv) const {
+    return std::lower_bound(intervals_.begin(), intervals_.end(), iv,
+                            [](const TimeInterval& a, const TimeInterval& b) {
+                              return a.end <= b.start;
+                            });
+  }
+
   // Sorted by start; pairwise non-overlapping.
   std::vector<TimeInterval> intervals_;
 };

@@ -77,16 +77,6 @@ TEST(IntervalSet, OverlapsQuery) {
   EXPECT_FALSE(set.overlaps({3.0, 3.0}));  // empty never overlaps
 }
 
-TEST(IntervalSet, FirstOverlapReturnsTheInterval) {
-  IntervalSet set;
-  set.insert_disjoint({0.0, 2.0});
-  set.insert_disjoint({4.0, 6.0});
-  const auto hit = set.first_overlap({5.0, 9.0});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->start, 4.0);
-  EXPECT_FALSE(set.first_overlap({2.0, 4.0}).has_value());
-}
-
 TEST(IntervalSet, InsertMergedCoalesces) {
   IntervalSet set;
   set.insert_merged({0.0, 2.0});
@@ -121,18 +111,10 @@ TEST(IntervalSet, EarliestFitOnEmptySet) {
   EXPECT_DOUBLE_EQ(set.earliest_fit(3.5, 10.0), 3.5);
 }
 
-TEST(IntervalSet, TotalDuration) {
-  IntervalSet set;
-  set.insert_disjoint({0.0, 2.0});
-  set.insert_disjoint({4.0, 7.0});
-  EXPECT_DOUBLE_EQ(set.total_duration(), 5.0);
-  set.clear();
-  EXPECT_DOUBLE_EQ(set.total_duration(), 0.0);
-}
-
 /// Property: a randomized sequence of insert_disjoint calls never produces
 /// overlapping stored intervals, and overlaps() agrees with a brute-force
-/// check.
+/// check — on the empty set too, which each trial's first query and the
+/// query after each trial's clear() see.
 TEST(IntervalSetProperty, RandomizedDisjointness) {
   Rng rng(1234);
   for (int trial = 0; trial < 50; ++trial) {
@@ -157,6 +139,10 @@ TEST(IntervalSetProperty, RandomizedDisjointness) {
     for (std::size_t i = 1; i < ivs.size(); ++i) {
       EXPECT_LE(ivs[i - 1].end, ivs[i].start);
     }
+    set.clear();
+    const double start = rng.uniform(0.0, 100.0);
+    EXPECT_FALSE(set.overlaps({start, start + rng.uniform(0.1, 5.0)}));
+    EXPECT_TRUE(set.empty());
   }
 }
 

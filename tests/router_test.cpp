@@ -392,6 +392,50 @@ TEST(Router, PostponedProbeLogIsTheFinalSearchReadSet) {
   }
 }
 
+TEST(RouterCore, RepeatProbesOfAConflictingCellEachCountARejection) {
+  // Two mixers face each other across a 4x5 channel region; one cell on
+  // the straight line between their ports holds a reservation over the
+  // whole task window, and three expanded neighbours probe it. A cell's
+  // verdict is decided once per search, yet every repeat probe of a
+  // conflicting cell still counts one rejection. The counters are the
+  // values the search reported when it decided every probe afresh; the
+  // path is the reference router's.
+  Allocation alloc{AllocationSpec{2, 0, 0, 0}};
+  ChipSpec chip;
+  chip.grid_width = 12;
+  chip.grid_height = 5;
+  Placement placement{2};
+  placement.at(ComponentId{0}) = {{0, 1}, false};  // x0..3, y1..3
+  placement.at(ComponentId{1}) = {{8, 1}, false};  // x8..11, y1..3
+  const WashModel wash;
+  RoutingGrid grid(chip, alloc, placement);
+  RoutingGrid ref_grid(chip, alloc, placement);
+  const Point conflict{5, 2};
+  ASSERT_TRUE(grid.cell(conflict).occupancy.insert_disjoint({0.0, 100.0}));
+  ASSERT_TRUE(
+      ref_grid.cell(conflict).occupancy.insert_disjoint({0.0, 100.0}));
+
+  const RouterOptions opts;
+  RouteStats stats;
+  RouterCore core(grid, wash, opts, &stats);
+  const std::vector<Point> sources = grid.ports(ComponentId{0});
+  const std::vector<Point> targets = grid.ports(ComponentId{1});
+  const RouteTask task{0, ComponentId{0}, ComponentId{1}, Fluid{"f", 1e-5},
+                       0.0, 2.0, 0.0};
+  core.begin_task(task, sources, targets, ComponentId{1});
+  const std::vector<Point> path = core.find_path(task.start);
+  EXPECT_EQ(stats.feasibility_rejections, 3u);
+  EXPECT_EQ(stats.nodes_expanded, 20u);
+  EXPECT_EQ(stats.heap_pushes, 24u);
+
+  Schedule s;
+  s.transports = {RouterFixture::transport(0, 0, 1, 0.0, 2.0)};
+  const auto ref = route_transports_reference(ref_grid, s, wash);
+  ASSERT_EQ(ref.paths.size(), 1u);
+  EXPECT_EQ(path, ref.paths[0].cells);
+  EXPECT_EQ(path, (std::vector<Point>{{4, 1}, {5, 1}, {6, 1}, {7, 1}}));
+}
+
 TEST(RoutingResult, DistinctEdgesCountsSharingOnce) {
   RoutingResult result;
   RoutedPath a;

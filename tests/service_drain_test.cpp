@@ -21,6 +21,24 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// Reads one response from `conn`.
+std::optional<HttpResponseMessage> read_response(Socket& conn) {
+  HttpLimits limits;
+  limits.max_body = 8u << 20;
+  HttpResponseParser parser(limits);
+  char buffer[4096];
+  while (parser.status() == ParseStatus::kNeedMore) {
+    std::size_t received = 0;
+    if (conn.read_some(buffer, sizeof(buffer), 30000, received) !=
+        IoStatus::kOk) {
+      break;
+    }
+    parser.feed(buffer, received);
+  }
+  if (parser.status() != ParseStatus::kDone) return std::nullopt;
+  return parser.message();
+}
+
 std::optional<HttpResponseMessage> roundtrip(std::uint16_t port,
                                              const std::string& method,
                                              const std::string& target,
@@ -32,31 +50,19 @@ std::optional<HttpResponseMessage> roundtrip(std::uint16_t port,
                            "Content-Length: " +
                            std::to_string(body.size()) + "\r\n\r\n" + body;
   if (!conn->send_all(wire)) return std::nullopt;
-  HttpLimits limits;
-  limits.max_body = 8u << 20;
-  HttpResponseParser parser(limits);
-  char buffer[4096];
-  while (parser.status() == ParseStatus::kNeedMore) {
-    std::size_t received = 0;
-    if (conn->read_some(buffer, sizeof(buffer), 30000, received) !=
-        IoStatus::kOk) {
-      break;
-    }
-    parser.feed(buffer, received);
-  }
-  if (parser.status() != ParseStatus::kDone) return std::nullopt;
-  return parser.message();
+  return read_response(*conn);
 }
 
-/// service.requests.in_flight of the server's /metrics document.
-double metrics_in_flight(const SynthServer& server) {
+/// service.<group>.<key> of the server's /metrics document (0 if absent).
+double service_metric(const SynthServer& server, const char* group,
+                      const char* key) {
   const auto root = jsonio::parse(server.metrics_json());
   const jsonio::Value* service = root ? root->find("service") : nullptr;
-  const jsonio::Value* requests =
-      service != nullptr ? service->find("requests") : nullptr;
-  const jsonio::Value* in_flight =
-      requests != nullptr ? requests->find("in_flight") : nullptr;
-  return in_flight != nullptr ? in_flight->num : 0.0;
+  const jsonio::Value* object =
+      service != nullptr ? service->find(group) : nullptr;
+  const jsonio::Value* value =
+      object != nullptr ? object->find(key) : nullptr;
+  return value != nullptr ? value->num : 0.0;
 }
 
 TEST(SynthServerDrain, CancelsInFlightJobAnswersItAndSpillsCache) {
@@ -87,7 +93,7 @@ TEST(SynthServerDrain, CancelsInFlightJobAnswersItAndSpillsCache) {
     stalled = roundtrip(port, "POST", "/synthesize",
                         R"({"benchmark": "PCR", "stall_ms": 5000})");
   });
-  while (metrics_in_flight(server) == 0.0) {
+  while (service_metric(server, "requests", "in_flight") == 0.0) {
     std::this_thread::sleep_for(5ms);
   }
 
@@ -118,8 +124,18 @@ TEST(SynthServerDrain, NewRequestsAreRefusedWhileDraining) {
   server.start();
   server.request_shutdown();
 
-  // Either answered 503 (accepted before the listener noticed) or the
-  // connection is refused outright — never a 200.
+  // The listener answers a connection that arrives while draining with a
+  // 503, counted like the connection-cap refusal, before reading from it.
+  // This client sends nothing: a request left unread when the listener
+  // closes resets the connection, which can discard the 503 unread.
+  std::optional<Socket> conn = connect_to("127.0.0.1", server.port(), 2000);
+  ASSERT_TRUE(conn.has_value());
+  const auto refused = read_response(*conn);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->status, 503);
+  EXPECT_EQ(service_metric(server, "responses", "cancelled"), 1.0);
+
+  // A request is either answered 503 or lost to that reset — never a 200.
   const auto response = roundtrip(server.port(), "POST", "/synthesize",
                                   R"({"benchmark": "PCR"})");
   if (response) {

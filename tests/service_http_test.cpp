@@ -1,11 +1,11 @@
 #include "service/http.hpp"
 
-#include <fcntl.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -179,9 +179,10 @@ TEST(HttpResponse, EveryServiceStatusHasAReason) {
   }
 }
 
-// The two-buffer send resumes after partial writes: a non-blocking writer
-// whose send buffer holds a few KB takes a head and a body many times that
-// size in pieces, some ending inside the head and most inside the body.
+// The two-buffer send resumes after partial writes: a writer whose send
+// buffer holds a few KB takes a head and a body many times that size in
+// pieces, some ending inside the head and most inside the body. The
+// socket is blocking, as an accepted connection is.
 TEST(Socket, HeadAndBodyLargerThanTheSendBufferArriveWhole) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -190,9 +191,6 @@ TEST(Socket, HeadAndBodyLargerThanTheSendBufferArriveWhole) {
   const int send_buffer = 4096;
   ASSERT_EQ(::setsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &send_buffer,
                          sizeof(send_buffer)),
-            0);
-  ASSERT_EQ(::fcntl(writer.fd(), F_SETFL,
-                    ::fcntl(writer.fd(), F_GETFL) | O_NONBLOCK),
             0);
   std::string head(10000, 'h');
   std::string body(300000, ' ');
@@ -219,6 +217,36 @@ TEST(Socket, HeadAndBodyLargerThanTheSendBufferArriveWhole) {
   EXPECT_TRUE(sent);
   ASSERT_EQ(received.size(), head.size() + body.size());
   EXPECT_TRUE(received == head + body);
+}
+
+// A reader that stops reading cannot hold a blocking writer past its
+// timeout: each write waits only in poll, so send_all gives up once the
+// send buffer stays full for timeout_ms. A watchdog closes the reader
+// after 2 s, so a write blocked in the kernel ends too, and the test
+// fails on its clock instead of hanging.
+TEST(Socket, StalledReaderTimesOutABlockingWriter) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket writer(fds[0]);
+  Socket reader(fds[1]);
+  const int send_buffer = 4096;
+  ASSERT_EQ(::setsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                         sizeof(send_buffer)),
+            0);
+  const std::string body(300000, 'b');
+
+  std::promise<void> returned;
+  std::thread watchdog([&reader, done = returned.get_future()] {
+    done.wait_for(std::chrono::seconds(2));
+    reader.close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const bool sent = writer.send_all("HTTP/1.1 200 OK\r\n\r\n", body, 50);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  returned.set_value();
+  watchdog.join();
+  EXPECT_FALSE(sent);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
 }
 
 // A percentile is its bucket's upper bound clamped to the exact max, so
